@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
-error, 3 resource limit exceeded.  --json switches output to a single JSON
-object on stdout; diagnostics go to stderr.
+error, 3 resource limit exceeded (including input nested too deeply for the
+recursion limit).  --json switches output to a single JSON object on stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 import time
 
 from .bench import fitted_exponent, scaling_run
-from .decide import DecisionCache, explain, subtype_matrix
-from .factors import factor_to_expr, factors
+from .decide import DecisionCache, subtype_matrix
+from .factors import factor_to_expr, sorted_factors
 from .model import LimitExceeded, UnknownAtom, build_model, satisfies_eq, stack_of_twos
 from .rewrite import dept_normal_form, dist_normal_form, slat_canonical
 from .selftest import run_criteria
@@ -54,7 +55,7 @@ def _cmd_nf(args) -> int:
 
 def _cmd_factors(args) -> int:
     e = parse(args.expr)
-    fs = sorted(factors(e), key=lambda f: (f.head, f.arity, render(factor_to_expr(f))))
+    fs = sorted_factors(e)
     if args.json:
         _emit(
             {
@@ -74,14 +75,11 @@ def _cmd_compare(args, want_equiv: bool) -> int:
     a = parse(args.a)
     b = parse(args.b)
     cache = DecisionCache()
-    if want_equiv:
-        holds = cache.subseteq(a, b) and cache.subseteq(b, a)
-    else:
-        holds = cache.subseteq(a, b)
+    holds = cache.equiv(a, b) if want_equiv else cache.subseteq(a, b)
     if args.explain:
-        tree = {"holds": holds, "forward": explain(a, b)}
+        tree = {"holds": holds, "forward": cache.explain(a, b)}
         if want_equiv:
-            tree["backward"] = explain(b, a)
+            tree["backward"] = cache.explain(b, a)
         _emit(tree)
     elif args.json:
         _emit({"a": args.a, "b": args.b, "holds": holds})
@@ -258,6 +256,9 @@ def run(argv) -> int:
         return 2
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("limit exceeded: expression nested too deeply", file=sys.stderr)
         return 3
     except (UnknownAtom, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,11 @@ recursion already distributes arrows over meets.
 Two implementations are provided: a memoized recursion on subexpression pairs
 (the workhorse) and an explicit Boolean matrix over the DFS-numbered
 subexpressions of a root, filled in decreasing order of index sum so that
-every factor-argument lookup is already available.  They agree pointwise.
+every factor-argument lookup is already available.  Both read their factor
+sets from the one factor recursion, factors.factors; the matrix's fill is its
+own matching loop, so it stays an independent check on the recursion, and
+the two agree pointwise.  Explanations are produced by the recursion's cache
+and reach every decision through DecisionCache.subseteq.
 
 "@" receives no special treatment here.
 
@@ -22,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factors import Factor, factor_to_expr, factors
-from .syntax import Atom, Expr, Meet, render
+from .factors import factor_to_expr, factors, sorted_factors
+from .syntax import Arrow, Expr, Meet, render
 
 
 class DecisionCache:
@@ -36,26 +40,11 @@ class DecisionCache:
         self._facts = {}
         self._grouped = {}
 
-    def _factors(self, e: Expr) -> frozenset:
-        fs = self._facts.get(e)
-        if fs is None:
-            if isinstance(e, Atom):
-                fs = frozenset([Factor((), e.name)])
-            elif isinstance(e, Meet):
-                fs = self._factors(e.left) | self._factors(e.right)
-            else:
-                src = e.source
-                fs = frozenset(
-                    Factor((src,) + f.args, f.head) for f in self._factors(e.target)
-                )
-            self._facts[e] = fs
-        return fs
-
     def _group(self, e: Expr) -> dict:
         g = self._grouped.get(e)
         if g is None:
             g = {}
-            for f in self._factors(e):
+            for f in factors(e, self._facts):
                 g.setdefault((f.head, f.arity), []).append(f.args)
             self._grouped[e] = g
         return g
@@ -91,6 +80,33 @@ class DecisionCache:
     def equiv(self, a: Expr, b: Expr) -> bool:
         return self.subseteq(a, b) and self.subseteq(b, a)
 
+    def explain(self, a: Expr, b: Expr) -> dict:
+        """Factor-matching tree justifying subseteq(a, b), as plain data.
+
+        Each factor of b is matched to the first factor of a, in sorted
+        order, whose arguments pass subseteq; only that match is expanded.
+        """
+        fas = sorted_factors(a, self._facts)
+        obligations = []
+        for fb in sorted_factors(b, self._facts):
+            matched = None
+            for fa in fas:
+                if fa.head == fb.head and fa.arity == fb.arity and all(
+                    self.subseteq(x, y) for x, y in zip(fb.args, fa.args)
+                ):
+                    matched = {
+                        "factor": render(factor_to_expr(fa)),
+                        "args": [self.explain(x, y) for x, y in zip(fb.args, fa.args)],
+                    }
+                    break
+            obligations.append({"factor": render(factor_to_expr(fb)), "matched": matched})
+        return {
+            "sub": render(a),
+            "sup": render(b),
+            "holds": all(ob["matched"] is not None for ob in obligations),
+            "obligations": obligations,
+        }
+
 
 def subseteq(a: Expr, b: Expr) -> bool:
     """True iff a is below b in the preorder."""
@@ -99,8 +115,12 @@ def subseteq(a: Expr, b: Expr) -> bool:
 
 def equiv(a: Expr, b: Expr) -> bool:
     """True iff a and b are mutually below each other."""
-    cache = DecisionCache()
-    return cache.subseteq(a, b) and cache.subseteq(b, a)
+    return DecisionCache().equiv(a, b)
+
+
+def explain(a: Expr, b: Expr) -> dict:
+    """Factor-matching tree justifying subseteq(a, b), as plain data."""
+    return DecisionCache().explain(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +149,27 @@ def numbered_factors(root: Expr):
     """Preorder subexpression list plus per-node factor sets whose arguments
     are expressed as node indices.
 
-    Factor argument indices are always strictly larger than the node's own
-    index, which is what lets the matrix fill entries in decreasing order of
-    index sum.
+    A factor argument is numbered by the last preorder index of its
+    structural class.  That index is always strictly larger than the node's
+    own index, which is what lets the matrix fill entries in decreasing order
+    of index sum.
     """
     exprs = []
-    facts = []
-
-    def visit(e: Expr) -> int:
-        idx = len(exprs)
+    stack = [root]
+    while stack:
+        e = stack.pop()
         exprs.append(e)
-        facts.append(None)
-        if isinstance(e, Atom):
-            fs = frozenset([(e.name, ())])
+        if isinstance(e, Arrow):
+            stack += (e.target, e.source)
         elif isinstance(e, Meet):
-            li = visit(e.left)
-            ri = visit(e.right)
-            fs = facts[li] | facts[ri]
-        else:
-            si = visit(e.source)
-            ti = visit(e.target)
-            fs = frozenset((head, (si,) + args) for head, args in facts[ti])
-        facts[idx] = fs
-        return idx
-
-    visit(root)
+            stack += (e.right, e.left)
+    last = {x: i for i, x in enumerate(exprs)}
+    memo = {}
+    for e in reversed(exprs):  # children first, so each call recurses one level
+        factors(e, memo)
+    facts = [
+        frozenset((f.head, tuple(last[x] for x in f.args)) for f in memo[e]) for e in exprs
+    ]
     for idx, fs in enumerate(facts):
         for _, args in fs:
             assert all(k > idx for k in args), "factor argument below its node"
@@ -182,10 +198,8 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
 
     rows = [bytearray(n) for _ in range(n)]
 
-    classes = {}
-    cls = [0] * n
-    for i, e in enumerate(exprs):
-        cls[i] = classes.setdefault(e, len(classes))
+    last = {x: i for i, x in enumerate(exprs)}
+    cls = [last[x] for x in exprs]
 
     pair_cache = {}
     for s in range(2 * n - 2, -1, -1):
@@ -222,37 +236,3 @@ def _matrix_entry(gi: dict, gj: dict, rows) -> int:
             if not ok:
                 return 0
     return 1
-
-
-# ---------------------------------------------------------------------------
-# Explanations
-
-def _sorted_factors(e: Expr) -> list:
-    return sorted(factors(e), key=lambda f: (f.head, f.arity, render(factor_to_expr(f))))
-
-
-def explain(a: Expr, b: Expr) -> dict:
-    """Factor-matching tree justifying subseteq(a, b), as plain data."""
-    obligations = []
-    holds = True
-    fas = _sorted_factors(a)
-    for fb in _sorted_factors(b):
-        matched = None
-        for fa in fas:
-            if fa.head != fb.head or fa.arity != fb.arity:
-                continue
-            subtrees = [explain(fb.args[k], fa.args[k]) for k in range(fb.arity)]
-            if all(t["holds"] for t in subtrees):
-                matched = {"factor": render(factor_to_expr(fa)), "args": subtrees}
-                break
-        if matched is None:
-            holds = False
-        obligations.append(
-            {"factor": render(factor_to_expr(fb)), "matched": matched}
-        )
-    return {
-        "sub": render(a),
-        "sup": render(b),
-        "holds": holds,
-        "obligations": obligations,
-    }

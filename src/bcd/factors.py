@@ -4,57 +4,48 @@ An expression with no arrow targeting a meet is an intersection of such
 unrollings with atomic heads; the factors recursion extracts them from any
 expression directly, distributing arrow sources over meet targets as it goes.
 Here "@" is not distinguished from other atoms.
+
+`factors` is the package's only factor recursion: the decision cache, the
+subtype matrix and explanations all read factor sets through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .syntax import Arrow, Atom, Expr, Meet
+from .syntax import Arrow, Atom, Expr, Meet, render
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Factor:
+class Factor(NamedTuple):
     args: tuple  # tuple of Expr, outermost argument first; () means a bare atom
     head: str
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("factor", tuple(hash(a) for a in self.args), self.head))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Factor
-            and other._hash == self._hash
-            and other.head == self.head
-            and other.args == self.args
-        )
-
-    def __repr__(self):
-        return f"Factor({self.args!r}, {self.head!r})"
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
-def factors(e: Expr) -> frozenset:
+def factors(e: Expr, memo: dict | None = None) -> frozenset:
     """The factor set of e.
 
     factors(p) = {p}; factors of a meet is the union over its operands; an
     arrow prepends its source to every factor of its target.  Deduplicated as
-    a set under syntactic equality.
+    a set under syntactic equality.  Results are memoized per subexpression in
+    memo, which callers may share across calls on related expressions.
     """
-    if isinstance(e, Atom):
-        return frozenset([Factor((), e.name)])
-    if isinstance(e, Meet):
-        return factors(e.left) | factors(e.right)
-    src = e.source
-    return frozenset(Factor((src,) + f.args, f.head) for f in factors(e.target))
+    if memo is None:
+        memo = {}
+    fs = memo.get(e)
+    if fs is None:
+        if isinstance(e, Atom):
+            fs = frozenset([Factor((), e.name)])
+        elif isinstance(e, Meet):
+            fs = factors(e.left, memo) | factors(e.right, memo)
+        else:
+            src = e.source
+            fs = frozenset(Factor((src,) + f.args, f.head) for f in factors(e.target, memo))
+        memo[e] = fs
+    return fs
 
 
 def factor_to_expr(f: Factor) -> Expr:
@@ -63,3 +54,8 @@ def factor_to_expr(f: Factor) -> Expr:
     for arg in reversed(f.args):
         e = Arrow(arg, e)
     return e
+
+
+def sorted_factors(e: Expr, memo: dict | None = None) -> list:
+    """The factors of e in a deterministic order: head, arity, rendered text."""
+    return sorted(factors(e, memo), key=lambda f: (f.head, f.arity, render(factor_to_expr(f))))

@@ -1,79 +1,24 @@
 """Acceptance gate: every criterion at its full stated scale.
 
-Each test prints one PASS/FAIL line (visible with -s or on failure) and
-asserts the criterion's outcome at the tolerances fixed in bcd.selftest.
+One test per entry of bcd.selftest.FULL_SCALE, called with that entry's
+arguments, so the gate and `bcd selftest --full` cannot drift apart.  Each
+test is named after its criterion function (test_criterion_01_law_suite,
+...), prints one PASS/FAIL line (visible with -s or on failure) and asserts
+the criterion's outcome at the tolerances fixed in bcd.selftest.
 """
 
-from bcd.selftest import (
-    criterion_carrier_counts,
-    criterion_complete_invariants,
-    criterion_confluence,
-    criterion_conservation,
-    criterion_finite_model_property,
-    criterion_law_suite,
-    criterion_matrix_agreement,
-    criterion_oracle_agreement,
-    criterion_scaling,
-    criterion_termination,
-    criterion_two_path_agreement,
-)
+from bcd.selftest import FULL_SCALE
 
 
-def _report(name: str, ok: bool, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    assert ok, f"{name}: {detail}"
+def _gate(name, fn, kwargs):
+    def test():
+        ok, detail = fn(**kwargs)
+        print(f"{'PASS' if ok else 'FAIL'} criterion {name}: {detail}")
+        assert ok, f"criterion {name}: {detail}"
+
+    return test
 
 
-def test_criterion_01_law_suite():
-    ok, detail = criterion_law_suite(samples=1000, max_nodes=30)
-    _report("criterion 01 law suite", ok, detail)
-
-
-def test_criterion_02_oracle_agreement():
-    ok, detail = criterion_oracle_agreement(budget_true=10_000, time_limit=300.0)
-    _report("criterion 02 oracle agreement", ok, detail)
-
-
-def test_criterion_03_finite_model_property():
-    ok, detail = criterion_finite_model_property(depth=2)
-    _report("criterion 03 finite model property", ok, detail)
-
-
-def test_criterion_04_carrier_counts():
-    ok, detail = criterion_carrier_counts()
-    _report("criterion 04 carrier counts", ok, detail)
-
-
-def test_criterion_05_two_path_agreement():
-    ok, detail = criterion_two_path_agreement(max_nodes=7)
-    _report("criterion 05 two-path model agreement", ok, detail)
-
-
-def test_criterion_06_termination():
-    ok, detail = criterion_termination(runs=10_000)
-    _report("criterion 06 termination", ok, detail)
-
-
-def test_criterion_07_confluence():
-    ok, detail = criterion_confluence(peaks=1000)
-    _report("criterion 07 confluence", ok, detail)
-
-
-def test_criterion_08_complete_invariants():
-    ok, detail = criterion_complete_invariants(samples=1000)
-    _report("criterion 08 complete invariants", ok, detail)
-
-
-def test_criterion_09_conservation():
-    ok, detail = criterion_conservation(samples=200)
-    _report("criterion 09 conservation", ok, detail)
-
-
-def test_criterion_10_scaling():
-    ok, detail = criterion_scaling(sizes=(200, 400, 800, 1600), exponent_cap=5.5)
-    _report("criterion 10 scaling", ok, detail)
-
-
-def test_criterion_11_matrix_agreement():
-    ok, detail = criterion_matrix_agreement(roots=100, max_nodes=80)
-    _report("criterion 11 matrix recursion agreement", ok, detail)
+for _name, _fn, _kwargs in FULL_SCALE:
+    _slug = _fn.__name__.removeprefix("criterion_")
+    globals()[f"test_criterion_{_name[:2]}_{_slug}"] = _gate(_name, _fn, _kwargs)

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from bcd.cli import run
+
+DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
+LONG_CHAIN = "->".join(["a"] * 25001)
 
 
 class TestCompare:
@@ -37,6 +42,17 @@ class TestCompare:
         obj = json.loads(capsys.readouterr().out)
         assert obj["holds"] is True
         assert obj["forward"]["holds"] and obj["backward"]["holds"]
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("text", [DEEP_PARENS, LONG_CHAIN], ids=["parens", "chain"])
+    @pytest.mark.parametrize("verb", ["parse", "le", "eq"])
+    def test_refused_with_exit_3(self, capsys, verb, text):
+        argv = [verb, text] if verb == "parse" else [verb, text, "a"]
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "limit exceeded: expression nested too deeply" in err
 
 
 class TestParseVerb:

@@ -12,6 +12,7 @@ from bcd.decide import (
     subseteq,
     subtype_matrix,
 )
+from bcd.factors import factor_to_expr, sorted_factors
 from bcd.gen import all_exprs, random_expr, witness_pool
 from bcd.rewrite import (
     ASSO,
@@ -26,7 +27,7 @@ from bcd.rewrite import (
     redexes,
 )
 from bcd.model import satisfies_eq
-from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse
+from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse, render
 
 from conftest import expr_strategy
 
@@ -219,6 +220,56 @@ class TestExplain:
             a = random_expr(rng, rng.randint(1, 13))
             b = random_expr(rng, rng.randint(1, 13))
             assert explain(a, b)["holds"] == subseteq(a, b)
+
+
+def _reference_explain(a, b):
+    """The unmemoized matcher that explain replaced: every candidate factor
+    is re-decided by explaining its arguments from scratch."""
+    obligations = []
+    holds = True
+    fas = sorted_factors(a)
+    for fb in sorted_factors(b):
+        matched = None
+        for fa in fas:
+            if fa.head != fb.head or fa.arity != fb.arity:
+                continue
+            subtrees = [_reference_explain(fb.args[k], fa.args[k]) for k in range(fb.arity)]
+            if all(t["holds"] for t in subtrees):
+                matched = {"factor": render(factor_to_expr(fa)), "args": subtrees}
+                break
+        if matched is None:
+            holds = False
+        obligations.append({"factor": render(factor_to_expr(fb)), "matched": matched})
+    return {"sub": render(a), "sup": render(b), "holds": holds, "obligations": obligations}
+
+
+def _absorption_nest(levels):
+    e = Atom("x")
+    for _ in range(levels):
+        e = Meet(Arrow(e, B), Arrow(Meet(e, C), B))
+    return e
+
+
+class TestExplainMatchesReference:
+    def test_random_pairs(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            a = random_expr(rng, rng.randint(1, 25))
+            b = random_expr(rng, rng.randint(1, 25))
+            assert json.dumps(explain(a, b)) == json.dumps(_reference_explain(a, b))
+
+    def test_absorption_nest(self):
+        e = _absorption_nest(6)
+        for a, b in ((e, e), (e, Arrow(Meet(e, C), B)), (Arrow(Meet(e, C), B), e)):
+            assert json.dumps(explain(a, b)) == json.dumps(_reference_explain(a, b))
+
+    def test_shared_cache_matches_fresh(self):
+        rng = random.Random(43)
+        cache = DecisionCache()
+        for _ in range(50):
+            a = random_expr(rng, rng.randint(1, 25))
+            b = random_expr(rng, rng.randint(1, 25))
+            assert cache.explain(a, b) == explain(a, b)
 
 
 class TestConcurrency:
