@@ -55,7 +55,7 @@ class DecisionCache:
         v = memo.get(key)
         if v is not None:
             return v
-        if a == b:
+        if a is b:
             memo[key] = True
             return True
         ga = self._group(a)
@@ -197,18 +197,14 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
         keysets.append(frozenset(g))
 
     rows = [bytearray(n) for _ in range(n)]
-
-    last = {x: i for i, x in enumerate(exprs)}
-    cls = [last[x] for x in exprs]
-
     pair_cache = {}
     for s in range(2 * n - 2, -1, -1):
         for i in range(max(0, s - n + 1), min(n - 1, s) + 1):
             j = s - i
-            key = (cls[i], cls[j])
+            key = (exprs[i], exprs[j])
             v = pair_cache.get(key)
             if v is None:
-                if key[0] == key[1]:
+                if key[0] is key[1]:
                     v = 1
                 elif not keysets[j] <= keysets[i]:
                     v = 0

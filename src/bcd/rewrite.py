@@ -155,11 +155,11 @@ _AT_ARROW = Arrow(_AT, _AT)
 
 
 def _dept_matches(sub: Expr, restricted: bool) -> bool:
-    if sub == _AT:
+    if sub is _AT:
         return False  # rewriting @ to @ is a trivial loop
     if not restricted:
         return True
-    return _is_meet_of_atoms(sub) or sub == _AT_ARROW
+    return _is_meet_of_atoms(sub) or sub is _AT_ARROW
 
 
 def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
@@ -255,7 +255,7 @@ class Trace:
         cur = self.start
         for step in self.steps:
             cur = apply(cur, step.rule, step.position)
-            if cur != step.result:
+            if cur is not step.result:
                 return False
         return True
 
@@ -419,7 +419,7 @@ def _drop_absorbed(members: list) -> tuple:
             for j, u in enumerate(members):
                 if i == j or not isinstance(u, Arrow):
                     continue
-                if u.target == v.target and _spine_set(u.source) < vs:
+                if u.target is v.target and _spine_set(u.source) < vs:
                     absorbed = True
                     break
         if absorbed:
@@ -488,13 +488,13 @@ def _neighbors(state: Expr, witnesses: list) -> list:
             members = meet_members(sub)
             arrows = [(i, m) for i, m in enumerate(members) if isinstance(m, Arrow)]
             for (i, u), (j, v) in combinations(arrows, 2):
-                if u.source == v.source:
+                if u.source is v.source:
                     merged = Arrow(u.source, Meet(u.target, v.target))
                     rest = [m for k, m in enumerate(members) if k not in (i, j)]
                     add(pos, meet_of(rest + [merged]))
             for (i, u) in arrows:
                 for (j, v) in arrows:
-                    if i == j or u.target != v.target:
+                    if i == j or u.target is not v.target:
                         continue
                     if _spine_set(u.source) <= _spine_set(v.source):
                         rest = [m for k, m in enumerate(members) if k != j]

@@ -288,16 +288,7 @@ def criterion_complete_invariants(samples: int = 1000, seed: int = 108):
         if not factors(before) <= factors(after):
             failures += 1
             continue
-        canon_memo: dict = {}
-
-        def canon(e: Expr) -> Expr:
-            c = canon_memo.get(e)
-            if c is None:
-                c = slat_canonical(e)
-                canon_memo[e] = c
-            return c
-
-        deltas = list({canon(s) for _, s in subexpressions(after)})
+        deltas = list({slat_canonical(s) for _, s in subexpressions(after)})
         ok_here = True
         used_delta = False
         before_factors = list(factors(before))
@@ -309,7 +300,7 @@ def criterion_complete_invariants(samples: int = 1000, seed: int = 108):
             ]
             if any(
                 all(
-                    canon(f_after.args[k]) == canon(f.args[k])
+                    slat_canonical(f_after.args[k]) == slat_canonical(f.args[k])
                     for k in range(f_after.arity)
                 )
                 for f in candidates
@@ -319,11 +310,11 @@ def criterion_complete_invariants(samples: int = 1000, seed: int = 108):
             for f_before in candidates:
                 all_args = True
                 for k in range(f_after.arity):
-                    ca = canon(f_after.args[k])
-                    if ca == canon(f_before.args[k]):
+                    ca = slat_canonical(f_after.args[k])
+                    if ca == slat_canonical(f_before.args[k]):
                         continue
                     if any(
-                        ca == canon(Meet(f_before.args[k], d)) for d in deltas
+                        ca == slat_canonical(Meet(f_before.args[k], d)) for d in deltas
                     ):
                         continue
                     all_args = False
@@ -477,12 +468,13 @@ DESK_SCALE = {
 
 
 def run_criteria(full: bool = True, write=print) -> bool:
-    """Run every criterion, print one pass/fail line each, return overall result."""
+    """Run every criterion, print one timed pass/fail line each, return overall result."""
     all_ok = True
     for name, fn, kwargs in FULL_SCALE:
         if not full:
             kwargs = {**kwargs, **DESK_SCALE.get(name, {})}
+        start = time.perf_counter()
         ok, detail = fn(**kwargs)
         all_ok = all_ok and ok
-        write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        write(f"{'PASS' if ok else 'FAIL'} {name} ({time.perf_counter() - start:.2f} s): {detail}")
     return all_ok

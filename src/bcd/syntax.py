@@ -12,16 +12,26 @@ Whitespace is insignificant.  "@" is an ordinary atom everywhere except the
 depth-truncation rule and model construction, which use it as the placeholder
 for discarded subexpressions.
 
+Nodes are hash-consed: Atom, Arrow and Meet return the one live node of each
+structure, so == and hash are identity, O(1) at any depth, and a cache filled
+on one occurrence of a subtree serves every occurrence.  The intern table
+keys children by id() and holds nodes weakly, so it keeps nothing alive.
+Hash order thus follows allocation order; output is ordered by rendering.
+
 All values are immutable after construction and every operation here is pure,
-so the module is safe for unsynchronized concurrent use.
+so the module is safe for unsynchronized concurrent use.  Interning is too: a
+table entry is added only where none exists and removed only once its node is
+dead, so racing constructors of one structure all get the same node.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import weakref
 from enum import Enum
 from typing import Union
+
+from _weakref import _remove_dead_weakref  # what WeakValueDictionary uses
 
 TRUNCATION_ATOM = "@"
 
@@ -50,77 +60,78 @@ class InvalidPosition(ValueError):
     """A position whose steps do not reach a node of the expression."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Atom:
-    name: str
+# ---------------------------------------------------------------------------
+# Interned nodes
 
-    def __post_init__(self):
-        if not self.name:
+_table: dict = {}  # (class, name or child ids) -> _Ref to the live node
+_set = object.__setattr__
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the table key, for the callback
+
+
+def _forget(ref, _table=_table, _remove=_remove_dead_weakref):
+    # Bound as defaults so that callbacks still run while globals are torn
+    # down at exit.  The removal is atomic and drops the entry only if dead.
+    _remove(_table, ref.key)
+
+
+def _intern(cls, key: tuple, fields: tuple) -> "Expr":
+    ref = _table.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        _set(node, slot, value)
+    mine = _Ref(node, _forget)
+    mine.key = key
+    while True:  # a live entry never changes; a dead one is dropped, then retried
+        winner = _table.setdefault(key, mine)()
+        if winner is not None:
+            return winner
+        _remove_dead_weakref(_table, key)
+
+
+class _Node:
+    __slots__ = ("__dict__", "__weakref__")  # __dict__ holds side caches only
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: expressions are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy re-intern through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class Atom(_Node):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        if not name:
             raise ValueError("atom name must be nonempty")
-        object.__setattr__(self, "_hash", hash(("atom", self.name)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and other.name == self.name)
-
-    def __repr__(self):
-        return f"Atom({self.name!r})"
+        return _intern(cls, (cls, name), (name,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Arrow:
-    source: "Expr"
-    target: "Expr"
+class Arrow(_Node):
+    __slots__ = ("source", "target")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("arrow", hash(self.source), hash(self.target)))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Arrow
-            and other._hash == self._hash
-            and other.source == self.source
-            and other.target == self.target
-        )
-
-    def __repr__(self):
-        return f"Arrow({self.source!r}, {self.target!r})"
+    def __new__(cls, source: "Expr", target: "Expr"):
+        return _intern(cls, (cls, id(source), id(target)), (source, target))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Meet:
-    left: "Expr"
-    right: "Expr"
+class Meet(_Node):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("meet", hash(self.left), hash(self.right)))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Meet
-            and other._hash == self._hash
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    def __repr__(self):
-        return f"Meet({self.left!r}, {self.right!r})"
+    def __new__(cls, left: "Expr", right: "Expr"):
+        return _intern(cls, (cls, id(left), id(right)), (left, right))
 
 
 Expr = Union[Atom, Arrow, Meet]

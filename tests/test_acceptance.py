@@ -3,17 +3,22 @@
 One test per entry of bcd.selftest.FULL_SCALE, called with that entry's
 arguments, so the gate and `bcd selftest --full` cannot drift apart.  Each
 test is named after its criterion function (test_criterion_01_law_suite,
-...), prints one PASS/FAIL line (visible with -s or on failure) and asserts
-the criterion's outcome at the tolerances fixed in bcd.selftest.
+...), prints one PASS/FAIL line with its wall time (visible with -s or on
+failure) and asserts the criterion's outcome at the tolerances fixed in
+bcd.selftest.
 """
+
+import time
 
 from bcd.selftest import FULL_SCALE
 
 
 def _gate(name, fn, kwargs):
     def test():
+        start = time.perf_counter()
         ok, detail = fn(**kwargs)
-        print(f"{'PASS' if ok else 'FAIL'} criterion {name}: {detail}")
+        seconds = time.perf_counter() - start
+        print(f"{'PASS' if ok else 'FAIL'} criterion {name} ({seconds:.2f} s): {detail}")
         assert ok, f"criterion {name}: {detail}"
 
     return test

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bcd.cli import run
+from bcd.selftest import FULL_SCALE
 
 DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
 LONG_CHAIN = "->".join(["a"] * 25001)
@@ -151,6 +156,42 @@ class TestBench:
         assert run(["bench", "--stdin", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [r["nodes"] for r in obj["results"]] == [5, 3]
+
+
+class TestSelftest:
+    def test_desk_scale_passes_in_order(self, capsys):
+        assert run(["selftest"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == len(FULL_SCALE)
+        for line, (name, _, _) in zip(lines, FULL_SCALE):
+            assert line.startswith(f"PASS {name} (")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+HASH_SEED_ARGVS = [
+    ["model", "--atoms", "@,p", "--depth", "1", "--tables", "--json"],
+    ["nf", "--kind", "slat", "(b -> a) & (a & c -> b) & c & (b -> a) & (c -> a & b) & a"],
+    ["factors", "--json", "(c -> (b & a) & (a -> c)) & (b -> a & c) & (a & b -> c)"],
+    ["eq", "--explain", "(c -> a & b) & (b -> c)", "(b -> c) & (c -> b) & (c -> a)"],
+]
+
+
+class TestHashSeedIndependence:
+    @pytest.mark.parametrize("argv", HASH_SEED_ARGVS, ids=[a[0] for a in HASH_SEED_ARGVS])
+    def test_output_is_byte_identical(self, argv):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "bcd.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0]
+        assert outs[0] == outs[1]
 
 
 class TestUsage:

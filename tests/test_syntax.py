@@ -1,8 +1,20 @@
+import copy
+import gc
 import json
+import pickle
+import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given
 
+from bcd import syntax
+from bcd.decide import explain
+from bcd.factors import factor_to_expr, sorted_factors
+from bcd.gen import random_expr
+from bcd.rewrite import default_witnesses, prune, slat_canonical
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -26,6 +38,7 @@ from bcd.syntax import (
     replace_at,
     strictly_positive_atom_positions,
     subexpressions,
+    to_json_obj,
 )
 
 from conftest import big_expr_strategy, expr_strategy
@@ -250,3 +263,155 @@ class TestStructure:
 
     def test_atoms_of(self):
         assert atoms_of(parse("a -> (b & a) -> @")) == frozenset({"a", "b", "@"})
+
+
+def _chain(n: int):
+    e = Atom("a")
+    for _ in range(n):
+        e = Arrow(Atom("a"), e)
+    return e
+
+
+def _tree(rng: random.Random, size: int, atoms) -> tuple:
+    # A plain nested-tuple tree, so no node exists before _build runs.
+    if size <= 1:
+        return rng.choice(atoms)
+    left = rng.randrange(1, size - 1, 2) if size > 2 else 1
+    kind = rng.choice(("->", "&"))
+    return (kind, _tree(rng, left, atoms), _tree(rng, size - 1 - left, atoms))
+
+
+class _Gone:
+    pass
+
+
+def _build(t):
+    if isinstance(t, str):
+        return Atom(t)
+    kind, x, y = t
+    return (Arrow if kind == "->" else Meet)(_build(x), _build(y))
+
+
+class TestInterning:
+    @given(big_expr_strategy())
+    def test_parse_is_identity(self, e):
+        text = render(e)
+        assert parse(text) is parse(text) is e
+
+    @given(expr_strategy())
+    def test_json_round_trip_is_identity(self, e):
+        assert from_json_obj(to_json_obj(e)) is e
+
+    def test_constructors_return_the_parsed_node(self):
+        assert Arrow(A, Meet(B, C)) is parse("a -> b & c")
+        assert Meet(Meet(A, B), C) is parse("a & b & c")
+        assert Atom("a") is A
+
+    def test_replace_at_returns_the_parsed_node(self):
+        e = parse("a -> b & c")
+        assert replace_at(e, (ARROW_TARGET, MEET_LEFT), C) is parse("a -> c & c")
+        assert replace_at(e, (ARROW_SOURCE,), parse("b -> b")) is parse("(b -> b) -> b & c")
+
+    def test_distinct_structures_are_distinct(self):
+        assert Meet(A, B) is not Meet(B, A)
+        assert Arrow(A, B) is not Meet(A, B)
+
+    @pytest.mark.parametrize("text,field", [("a", "name"), ("a -> b", "source"), ("a & b", "right")])
+    def test_assignment_raises(self, text, field):
+        e = parse(text)
+        with pytest.raises(AttributeError):
+            setattr(e, field, A)
+        with pytest.raises(AttributeError):
+            e.extra = A
+        with pytest.raises(AttributeError):
+            delattr(e, field)
+        assert e is parse(text)
+
+    @given(expr_strategy())
+    def test_pickle_and_copy_return_the_same_node(self, e):
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+
+    def test_separately_built_deep_chains_are_one_object(self):
+        x = _chain(100_000)
+        y = _chain(100_000)
+        assert x is y
+        assert x == y
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
+    def test_unreferenced_expression_dies_in_one_collection(self, normalize):
+        rng = random.Random(7)
+        e = _build(_tree(rng, 20_001, ("weak_a", "weak_b", "weak_c")))
+        assert node_count(e) == 20_001
+        if normalize:
+            slat_canonical(e)
+            prune(e)
+        refs = [weakref.ref(x) for _, x in subexpressions(e)]
+        del e
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
+
+    def test_dead_entry_is_replaced(self):
+        # A node that died but whose table entry is not yet dropped, as seen
+        # by a builder racing with the dying node's weakref callback.
+        key = (Atom, "dead_entry")
+        gone = _Gone()
+        syntax._table[key] = weakref.ref(gone)
+        del gone
+        a = Atom("dead_entry")
+        assert a.name == "dead_entry"
+        assert Atom("dead_entry") is a
+        assert syntax._table[key]() is a
+
+    def test_racing_threads_get_one_object_per_structure(self):
+        rng = random.Random(11)
+        trees = [_tree(rng, rng.randrange(1, 60, 2), ("race_a", "race_b")) for _ in range(500)]
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(k):
+            barrier.wait(timeout=60)
+            results[k] = [_build(t) for t in trees]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for built in zip(*results):
+            assert all(x is built[0] for x in built)
+        assert len({id(x) for x in results[0]}) == len(set(trees))
+
+
+def _outputs(texts: list) -> list:
+    out = []
+    for a_text, b_text in zip(texts, texts[1:]):
+        a, b = parse(a_text), parse(b_text)
+        out.append(render(slat_canonical(a)))
+        out.append(render(prune(a)))
+        out.append([render(factor_to_expr(f)) for f in sorted_factors(a)])
+        out.append([render(w) for w in default_witnesses(a, b)])
+        out.append(json.dumps(explain(a, b)))
+    return out
+
+
+class TestDeterminism:
+    def test_outputs_independent_of_allocation_order(self):
+        rng = random.Random(5)
+        atoms = ("det_a", "det_b", "det_c")
+        texts = [render(random_expr(rng, rng.randrange(5, 40), atoms)) for _ in range(40)]
+        before = _outputs(texts)
+        gc.collect()
+        pool_trees = [_tree(rng, rng.randrange(1, 40, 2), atoms) for _ in range(2000)]
+        rng.shuffle(pool_trees)
+        pool = [_build(t) for t in pool_trees]
+        after = _outputs(texts)
+        assert pool
+        assert json.dumps(after).encode() == json.dumps(before).encode()
