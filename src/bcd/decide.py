@@ -180,8 +180,9 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
     """Fill the full subexpression-pair matrix of the root.
 
     Entries are computed in decreasing order of index sum i+j, each decided
-    by factor matching over already-filled deeper pairs; structurally equal
-    subexpression pairs share one computation.  Agrees pointwise with
+    by factor matching over already-filled deeper pairs.  A pair of repeated
+    subexpressions is decided once, at the last preorder occurrence of each
+    (the largest index sum), and copied from there.  Agrees pointwise with
     subseteq on every pair.
     """
     exprs, facts = numbered_factors(root)
@@ -196,21 +197,23 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
         grouped.append(g)
         keysets.append(frozenset(g))
 
+    index = {x: i for i, x in enumerate(exprs)}
+    last = [index[x] for x in exprs]
+
     rows = [bytearray(n) for _ in range(n)]
-    pair_cache = {}
     for s in range(2 * n - 2, -1, -1):
         for i in range(max(0, s - n + 1), min(n - 1, s) + 1):
             j = s - i
-            key = (exprs[i], exprs[j])
-            v = pair_cache.get(key)
-            if v is None:
-                if key[0] is key[1]:
-                    v = 1
-                elif not keysets[j] <= keysets[i]:
-                    v = 0
-                else:
-                    v = _matrix_entry(grouped[i], grouped[j], rows)
-                pair_cache[key] = v
+            li, lj = last[i], last[j]
+            if li + lj > s:
+                # the pair's last occurrence has a larger index sum: filled already
+                v = rows[li][lj]
+            elif exprs[i] is exprs[j]:
+                v = 1
+            elif not keysets[j] <= keysets[i]:
+                v = 0
+            else:
+                v = _matrix_entry(grouped[i], grouped[j], rows)
             rows[i][j] = v
     return SubtypeMatrix(tuple(exprs), tuple(bytes(r) for r in rows))
 

@@ -1,12 +1,31 @@
 """Finite models of the theory extended with depth-n truncation.
 
-The carrier of the depth-n model over a given atom set is enumerated level by
-level: level-0 primes are the atoms; level-k primes are the atoms plus all
-arrows between level-(k-1) carrier members; candidates are the canonical
-meets of nonempty prime subsets, deduplicated up to mutual subtyping.  Within
-the candidate pool two meets are congruent exactly when they lie below the
-same primes, so deduplication keys on that prime fingerprint (the tests also
-cross-check this against naive pairwise comparison).
+The carrier of the depth-n model over a given atom set is enumerated level
+by level: level-0 primes are the atoms; level-k primes are the atoms plus all
+arrows between level-(k-1) carrier members; the carrier is every meet of a
+nonempty set of primes, up to congruence.
+
+Each level keys its classes by a bitmask.  The level's units are the
+single-factor types factor_to_expr(f) over the factors of its primes, and
+the mask of an expression has bit b set when it lies below unit b.  By
+factor matching, a type with one factor lies below a meet exactly when it
+lies below one of the operands, so the mask of a meet is the OR of its
+members' masks; and a meet lies below another exactly when its mask
+contains the other's, so two meets are congruent iff their masks are equal.
+The carrier is therefore the OR-closure of the primes' masks, found
+breadth-first with |carrier| * |primes| ORs and one decision per
+(prime, unit) pair; no subset of primes is ever visited.
+
+Classes come in the order of their least prime subset (bit k for prime k,
+compared as integers), and each is represented by the slat-canonical meet
+of that subset: the order and representatives a walk over all subsets in
+increasing order would keep.  The meet table ORs two class masks.  The
+arrow table needs no per-entry decision either: truncating Arrow(c_i, c_j)
+at depth n gives Arrow(t_i, t_j) with t_i the depth-(n-1) truncation of
+c_i, which is congruent to the level-n prime Arrow(prev[pi(i)],
+prev[pi(j)]), where pi(i) is the previous level's class of t_i.  So the
+table costs one projection pi per class plus a lookup per entry.  At depth
+0 every arrow is @.
 
 Equality in the depth-n model can be decided without the carrier: truncating
 at depth n is a sound model-preserving reduction, and truncated expressions
@@ -21,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decide import DecisionCache, equiv
+from .factors import factor_to_expr, factors
 from .rewrite import INFINITE_DEPTH, dept_normal_form, meet_of, slat_canonical
 from .syntax import TRUNCATION_ATOM, Arrow, Atom, Expr, Meet, atoms_of
 
@@ -73,8 +93,8 @@ class Model:
     carrier: tuple
     meet_table: tuple
     arrow_table: tuple
-    _primes: tuple = field(repr=False, compare=False, default=())
-    _fp_index: dict = field(repr=False, compare=False, default_factory=dict)
+    _units: tuple = field(repr=False, compare=False, default=())
+    _by_mask: dict = field(repr=False, compare=False, default_factory=dict)
     _atom_index: dict = field(repr=False, compare=False, default_factory=dict)
     _cache: DecisionCache = field(repr=False, compare=False, default_factory=DecisionCache)
 
@@ -100,11 +120,77 @@ class Model:
 
     def class_index(self, e: Expr) -> int:
         """Carrier index of e's congruence class, via truncation and the
-        prime fingerprint; independent of the tables."""
+        unit mask; independent of the tables."""
         self._check_atoms(e)
         t = dept_normal_form(e, self.depth)
-        fp = tuple(self._cache.subseteq(t, q) for q in self._primes)
-        return self._fp_index[fp]
+        return self._by_mask[_unit_mask(self._cache, t, self._units)]
+
+
+def _unit_mask(cache: DecisionCache, e: Expr, units) -> int:
+    """Bitmask of the units that e lies below (bit b for units[b])."""
+    mask = 0
+    for b, u in enumerate(units):
+        if cache.subseteq(e, u):
+            mask |= 1 << b
+    return mask
+
+
+def _least_subset(mask: int, pmask: list) -> int:
+    """Least prime subset (bit k for prime k) whose masks OR to mask.
+
+    Only primes with pmask[k] inside mask can take part.  Minimising the
+    subset as an integer means minimising its highest prime first: the
+    least m at which the eligible primes up to m cover what is still
+    needed.  Prime m must then be in, and the rest is the same problem
+    below m for the bits that m leaves uncovered.
+    """
+    eligible = [(k, pm) for k, pm in enumerate(pmask) if not pm & ~mask]
+    need, subset, hi = mask, 0, len(eligible)
+    while need:
+        cover = 0
+        for idx in range(hi):
+            cover |= eligible[idx][1]
+            if not need & ~cover:
+                break
+        k, pm = eligible[idx]
+        subset |= 1 << k
+        need &= ~pm
+        hi = idx
+    return subset
+
+
+def _close_level(cache: DecisionCache, primes: list):
+    """The carrier over primes, as (units, pmask, masks, carrier).
+
+    masks[i] is the unit mask of carrier class i, and carrier[i] its
+    canonical representative; classes come in the order of their least
+    prime subsets.
+    """
+    memo: dict = {}
+    units = tuple(
+        dict.fromkeys(factor_to_expr(f) for p in primes for f in factors(p, memo))
+    )
+    pmask = [_unit_mask(cache, p, units) for p in primes]
+    seen = set(pmask)
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for m in frontier:
+            for pm in pmask:
+                c = m | pm
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        frontier = grown
+    subsets = {m: _least_subset(m, pmask) for m in seen}
+    masks = sorted(seen, key=subsets.__getitem__)
+    carrier = [
+        slat_canonical(
+            meet_of(primes[k] for k in range(len(primes)) if subsets[m] >> k & 1)
+        )
+        for m in masks
+    ]
+    return units, pmask, masks, carrier
 
 
 def build_model(
@@ -117,8 +203,17 @@ def build_model(
 ) -> Model:
     """Enumerate the depth-n carrier over the given atoms and fill the tables.
 
-    Default caps keep the enumeration at desk scale (two atoms, depth one,
-    at most 4096 candidate meets); pass larger caps explicitly to override.
+    Each level closes its primes' unit masks under OR and orders the
+    classes by least prime subset; the meet table ORs two class masks, and
+    the arrow table reads the class of the level prime
+    Arrow(prev[pi(i)], prev[pi(j)]), where pi projects a class onto the
+    previous level by truncation.  See the module docstring for why.
+
+    Default caps keep the enumeration at desk scale: two atoms, depth one,
+    and at most 4096 nonempty prime subsets per level.  That last cap
+    checks 2**k - 1 for k primes, an upper bound on the carrier size; the
+    closure itself never visits the subsets.  Pass larger caps explicitly
+    to override.
     """
     names = tuple(sorted(set(atoms)))
     if TRUNCATION_ATOM not in names:
@@ -137,52 +232,36 @@ def build_model(
     cache = DecisionCache()
     atom_exprs = [Atom(a) for a in names]
     carrier: list = []
-    primes: list = []
-    fp_index: dict = {}
+    units: tuple = ()
+    by_mask: dict = {}
 
-    for level in range(depth + 1):
-        if level == 0:
-            primes = list(atom_exprs)
-        else:
-            primes = list(atom_exprs) + [
-                Arrow(x, y) for x in carrier for y in carrier
-            ]
+    for _ in range(depth + 1):
+        primes = atom_exprs + [Arrow(x, y) for x in carrier for y in carrier]
         count = (1 << len(primes)) - 1
         if count > max_candidates:
             raise LimitExceeded(
                 f"{count} candidate meets exceeds the cap of {max_candidates};"
                 " override with max_candidates"
             )
-        carrier = []
-        fp_index = {}
-        for mask in range(1, (1 << len(primes))):
-            members = [primes[k] for k in range(len(primes)) if mask >> k & 1]
-            cand = slat_canonical(meet_of(members))
-            fp = tuple(cache.subseteq(cand, q) for q in primes)
-            if fp not in fp_index:
-                fp_index[fp] = len(carrier)
-                carrier.append(cand)
-
-    def class_of(e: Expr) -> int:
-        fp = tuple(cache.subseteq(e, q) for q in primes)
-        idx = fp_index.get(fp)
-        if idx is None:
-            raise RuntimeError(f"no carrier class for {e!r}; enumeration incomplete")
-        return idx
+        prev_units, prev_by_mask, prev_size = units, by_mask, len(carrier)
+        units, pmask, masks, carrier = _close_level(cache, primes)
+        by_mask = {m: i for i, m in enumerate(masks)}
 
     size = len(carrier)
-    meet_table = tuple(
-        tuple(class_of(Meet(carrier[i], carrier[j])) for j in range(size))
-        for i in range(size)
-    )
-    arrow_table = tuple(
-        tuple(
-            class_of(dept_normal_form(Arrow(carrier[i], carrier[j]), depth))
-            for j in range(size)
+    prime_class = [by_mask[m] for m in pmask]
+    meet_table = tuple(tuple(by_mask[mi | mj] for mj in masks) for mi in masks)
+    if depth == 0:
+        arrow_table = ((prime_class[names.index(TRUNCATION_ATOM)],) * size,) * size
+    else:
+        proj = [
+            prev_by_mask[_unit_mask(cache, dept_normal_form(c, depth - 1), prev_units)]
+            for c in carrier
+        ]
+        base = len(names)
+        arrow_table = tuple(
+            tuple(prime_class[base + pi * prev_size + pj] for pj in proj) for pi in proj
         )
-        for i in range(size)
-    )
-    atom_index = {a: class_of(Atom(a)) for a in names}
+    atom_index = {a: prime_class[k] for k, a in enumerate(names)}
 
     return Model(
         names,
@@ -190,8 +269,8 @@ def build_model(
         tuple(carrier),
         meet_table,
         arrow_table,
-        tuple(primes),
-        fp_index,
+        units,
+        by_mask,
         atom_index,
         cache,
     )

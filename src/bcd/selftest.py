@@ -191,11 +191,13 @@ def criterion_carrier_counts():
     cases = [
         (("@", "p"), 0, 3),
         (("@",), 1, 3),
+        (("@", "p"), 1, 99),
+        (("@",), 2, 49),
     ]
     problems = []
     sizes = []
     for atoms, depth, expected in cases:
-        model = build_model(atoms, depth)
+        model = build_model(atoms, depth, max_depth=2)
         bound = stack_of_twos(depth + 1, len(atoms) + depth)
         sizes.append(f"|F({depth})| over {{{','.join(atoms)}}} = {model.size} (bound {bound})")
         if model.size != expected:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,24 @@ class TestModelVerb:
 
     def test_missing_truncation_atom(self, capsys):
         assert run(["model", "--atoms", "p", "--depth", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--atoms @ --depth 0", "7040b29205c17b54"),
+            ("--atoms @ --depth 1", "3543e3c41fa10c9b"),
+            ("--atoms @,p --depth 0", "9c65b2bb3f065560"),
+            ("--atoms @,p --depth 1", "c892912f8807bbcc"),
+            ("--atoms @ --depth 2 --max-depth 2", "e5c7e6cba2ad1e70"),
+            ("--atoms @,p,q --depth 0 --max-atoms 3", "663e1f8d142db549"),
+        ],
+    )
+    def test_tables_json_golden(self, capsys, args, digest):
+        # sha256 prefixes of the subset enumeration's output: carrier order,
+        # representatives and both tables stay byte-identical
+        assert run(["model", *args.split(), "--tables", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestBench:

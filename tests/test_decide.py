@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+import tracemalloc
 
 from hypothesis import given, settings
 
@@ -201,6 +202,34 @@ class TestSubtypeMatrix:
                     assert idx + idx < min(
                         (k + kk for k in args for kk in args), default=10**9
                     )
+
+    def test_repeated_subtrees_agree_with_recursion(self):
+        # a meet of separately parsed copies of three subtrees, plus arrows
+        # between copies: most pairs are read from a later occurrence
+        rng = random.Random(34)
+        texts = [render(random_expr(rng, 11)) for _ in range(3)]
+        copies = [parse(texts[k % 3]) for k in range(30)]
+        arrows = [Arrow(copies[k], copies[k + 4]) for k in range(0, 24, 3)]
+        root = copies[0]
+        for e in copies[1:] + arrows:
+            root = Meet(root, e)
+        m = subtype_matrix(root)
+        assert m.size > 30 * 11
+        cache = DecisionCache()
+        for i in range(m.size):
+            for j in range(m.size):
+                assert m.holds(i, j) == cache.subseteq(m.exprs[i], m.exprs[j])
+
+    def test_fill_memory_is_linear_in_entries(self):
+        root = random_expr(random.Random(1601), 1601)
+        tracemalloc.start()
+        try:
+            m = subtype_matrix(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.size == 1601
+        assert peak < 4 * m.size**2
 
 
 class TestExplain:

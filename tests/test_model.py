@@ -14,8 +14,8 @@ from bcd.model import (
     satisfies_eq,
     stack_of_twos,
 )
-from bcd.rewrite import meet_of, slat_canonical
-from bcd.syntax import Arrow, Atom, arrow_depth, parse
+from bcd.rewrite import dept_normal_form, meet_of, slat_canonical
+from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse
 
 from conftest import expr_strategy
 
@@ -78,8 +78,8 @@ class TestBuildModel:
         assert m.size <= stack_of_twos(2, 3)
 
     def test_carrier_pairwise_non_congruent(self):
-        for atoms, depth in ((("@",), 1), (("@", "p"), 0)):
-            m = build_model(atoms, depth)
+        for atoms, depth in ((("@",), 1), (("@", "p"), 0), (("@", "p"), 1), (("@",), 2)):
+            m = build_model(atoms, depth, max_depth=2)
             cache = DecisionCache()
             for a, b in combinations(m.carrier, 2):
                 assert not cache.equiv(a, b)
@@ -122,6 +122,68 @@ class TestBuildModel:
     def test_candidate_cap(self):
         with pytest.raises(LimitExceeded):
             build_model(["@", "p"], 1, max_candidates=100)
+
+
+def _reference_build(atoms, depth):
+    """The subset enumeration: every nonempty prime subset, deduplicated by
+    its prime fingerprint, with both tables filled by fingerprinting each
+    entry.  Returns (carrier, meet_table, arrow_table, atom_index)."""
+    names = tuple(sorted(set(atoms)))
+    cache = DecisionCache()
+    atom_exprs = [Atom(a) for a in names]
+    carrier = []
+    for _ in range(depth + 1):
+        primes = atom_exprs + [Arrow(x, y) for x in carrier for y in carrier]
+        carrier = []
+        fp_index = {}
+        for mask in range(1, 1 << len(primes)):
+            members = [primes[k] for k in range(len(primes)) if mask >> k & 1]
+            cand = slat_canonical(meet_of(members))
+            fp = tuple(cache.subseteq(cand, q) for q in primes)
+            if fp not in fp_index:
+                fp_index[fp] = len(carrier)
+                carrier.append(cand)
+
+    def class_of(e):
+        return fp_index[tuple(cache.subseteq(e, q) for q in primes)]
+
+    size = len(carrier)
+    meet_table = tuple(
+        tuple(class_of(Meet(carrier[i], carrier[j])) for j in range(size))
+        for i in range(size)
+    )
+    arrow_table = tuple(
+        tuple(
+            class_of(dept_normal_form(Arrow(carrier[i], carrier[j]), depth))
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+    atom_index = {a: class_of(Atom(a)) for a in names}
+    return carrier, meet_table, arrow_table, atom_index
+
+
+class TestReferenceEnumeration:
+    @pytest.mark.parametrize(
+        "atoms, depth, caps",
+        [
+            (("@",), 0, {}),
+            (("@",), 1, {}),
+            (("@", "p"), 0, {}),
+            (("@", "p"), 1, {}),
+            (("@",), 2, {"max_depth": 2}),
+            (("@", "p", "q"), 0, {"max_atoms": 3}),
+        ],
+        ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
+    )
+    def test_matches_subset_enumeration(self, atoms, depth, caps):
+        m = build_model(atoms, depth, **caps)
+        carrier, meet_table, arrow_table, atom_index = _reference_build(atoms, depth)
+        assert len(m.carrier) == len(carrier)
+        assert all(x is y for x, y in zip(m.carrier, carrier))
+        assert m.meet_table == meet_table
+        assert m.arrow_table == arrow_table
+        assert {a: m.eval(Atom(a)) for a in m.atoms} == atom_index
 
 
 @pytest.fixture(scope="module")
