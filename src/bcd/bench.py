@@ -17,25 +17,22 @@ def _ensure_recursion_room(limit: int = 20000) -> None:
         sys.setrecursionlimit(limit)
 
 
-def time_matrix(size: int, seed: int = 0, atoms=("a", "b", "c"), repeats: int = 1) -> tuple:
-    """Best-of-repeats wall time of subtype_matrix on a random instance.
+def time_matrix(size: int, seed: int = 0) -> tuple:
+    """Wall time of subtype_matrix on a random instance.
 
     Returns (actual node count, seconds).
     """
     _ensure_recursion_room()
     rng = random.Random(seed)
-    root = random_expr(rng, size, atoms)
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        subtype_matrix(root)
-        best = min(best, time.perf_counter() - t0)
-    return node_count(root), best
+    root = random_expr(rng, size)
+    t0 = time.perf_counter()
+    subtype_matrix(root)
+    return node_count(root), time.perf_counter() - t0
 
 
-def scaling_run(sizes=(200, 400, 800, 1600), seed: int = 0, repeats: int = 1) -> list:
+def scaling_run(sizes=(200, 400, 800, 1600), seed: int = 0) -> list:
     """(node count, seconds) pairs for subtype_matrix across instance sizes."""
-    return [time_matrix(size, seed=seed + size, repeats=repeats) for size in sizes]
+    return [time_matrix(size, seed=seed + size) for size in sizes]
 
 
 def fitted_exponent(pairs) -> float:
@@ -51,12 +48,12 @@ def fitted_exponent(pairs) -> float:
     return cov / var
 
 
-def time_decision(total_nodes: int = 1000, seed: int = 0, atoms=("a", "b", "c")) -> float:
+def time_decision(total_nodes: int = 1000, seed: int = 0) -> float:
     """Wall time of one subtype decision on a pair totalling total_nodes nodes."""
     _ensure_recursion_room()
     rng = random.Random(seed)
-    a = random_expr(rng, total_nodes // 2, atoms)
-    b = random_expr(rng, total_nodes // 2, atoms)
+    a = random_expr(rng, total_nodes // 2)
+    b = random_expr(rng, total_nodes // 2)
     cache = DecisionCache()
     t0 = time.perf_counter()
     cache.subseteq(a, b)

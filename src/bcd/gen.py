@@ -13,7 +13,6 @@ from .rewrite import (
     Trace,
     absp,
     apply,
-    dept,
     redexes,
 )
 from .syntax import Arrow, Atom, Expr, Meet, Polarity, polarity, subexpressions
@@ -62,29 +61,17 @@ def witness_pool(*exprs: Expr) -> list:
     return pool
 
 
-def random_walk(
-    rng: random.Random,
-    start: Expr,
-    max_steps: int,
-    witnesses=None,
-    dept_depth=None,
-    absp_prob: float = 0.25,
-) -> Trace:
+def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list) -> Trace:
     """Random restricted reduction of up to max_steps steps.
 
-    Uses the meet rules plus dist, absp with witnesses drawn from the pool
-    (by default the subexpressions of start), and, when dept_depth is given,
-    restricted depth truncation at that parameter.
+    Uses the meet rules plus dist and absp with witnesses drawn from the pool.
     """
     trace = Trace(start)
-    pool = witnesses if witnesses is not None else witness_pool(start)
     for _ in range(rng.randint(0, max_steps)):
         cur = trace.final
         rules = [ASSO, ASSO_INV, COMM, IDEM, DIST]
-        if pool and rng.random() < absp_prob:
-            rules.append(absp(rng.choice(pool)))
-        if dept_depth is not None:
-            rules.append(dept(dept_depth))
+        if witnesses and rng.random() < 0.25:
+            rules.append(absp(rng.choice(witnesses)))
         rng.shuffle(rules)
         for rule in rules:
             positions = redexes(cur, rule, restricted=True)
@@ -96,16 +83,14 @@ def random_walk(
     return trace
 
 
-def random_strictly_positive_step(
-    rng: random.Random, e: Expr, witnesses=None
-):
-    """One random restricted reduction step at a strictly positive position.
+def random_strictly_positive_step(rng: random.Random, e: Expr):
+    """One random restricted reduction step at a strictly positive position,
+    with the absp witness drawn from the subexpressions of e.
 
     Returns (rule, position, result); atoms always admit at least an idem
     step at the root, so this never fails.
     """
-    pool = witnesses if witnesses is not None else witness_pool(e)
-    rules = [ASSO, ASSO_INV, COMM, IDEM, DIST, absp(rng.choice(pool))]
+    rules = [ASSO, ASSO_INV, COMM, IDEM, DIST, absp(rng.choice(witness_pool(e)))]
     options = []
     for rule in rules:
         for pos in redexes(e, rule, restricted=True):

@@ -16,8 +16,10 @@ occurrences.  absp is generative (its C is arbitrary), so it never takes part
 in normalization; it appears only in the bounded conversion search, with
 witnesses drawn from a finite pool.
 
-All operations are pure; the conversion search keeps its frontier call-local,
-so the module is safe for unsynchronized concurrent use.
+All operations are pure; the conversion search keeps its frontier and its
+memos (successor sets and pruned forms per subterm) call-local, so the module
+is safe for unsynchronized concurrent use.  The only caches kept on nodes are
+slat_canonical's and the rendering's, both functions of the node alone.
 """
 
 from __future__ import annotations
@@ -341,6 +343,12 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
     return go(e, 0)
 
 
+def _sorted_meet(members) -> Expr:
+    """Left-nested meet of the distinct slat-canonical non-meet members,
+    sorted by rendering: the slat-canonical form of their meet."""
+    return meet_of(sorted(set(members), key=render))
+
+
 def slat_canonical(e: Expr) -> Expr:
     """Canonical representative of e's class under meet associativity,
     commutativity, and idempotence.
@@ -357,8 +365,7 @@ def slat_canonical(e: Expr) -> Expr:
     elif isinstance(e, Arrow):
         c = Arrow(slat_canonical(e.source), slat_canonical(e.target))
     else:
-        members = {slat_canonical(m) for m in meet_members(e)}
-        c = meet_of(sorted(members, key=render))
+        c = _sorted_meet(slat_canonical(m) for m in meet_members(e))
     object.__setattr__(e, "_slat", c)
     if c is not e:
         object.__setattr__(c, "_slat", c)
@@ -373,133 +380,108 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _spine_set(e: Expr) -> frozenset:
-    s = e.__dict__.get("_spine")
-    if s is None:
-        s = frozenset(meet_members(e))
-        object.__setattr__(e, "_spine", s)
-    return s
-
-
-def _merge_cluster(members: list) -> tuple:
-    """Union the targets of same-source arrow members (reverse dist,
-    repeatedly); newly merged members are re-pruned since their combined
-    targets may expose further merges."""
+def _merge_cluster(members: list, memo: dict) -> list:
+    """Union the targets of same-source arrow members (reverse dist); merged
+    members are re-pruned since their combined targets may expose further
+    merges."""
     by_source = {}
-    rest = []
+    out = []
     for m in members:
         if isinstance(m, Arrow):
             by_source.setdefault(m.source, []).append(m)
         else:
-            rest.append(m)
-    out = list(rest)
-    changed = False
+            out.append(m)
     for src, group in by_source.items():
         if len(group) == 1:
             out.append(group[0])
         else:
-            changed = True
-            spine = set()
-            for g in group:
-                spine |= _spine_set(g.target)
-            target = prune(meet_of(sorted(spine, key=render)))
-            out.append(prune(Arrow(src, target)))
-    return out, changed
+            target = prune(_sorted_meet(m for g in group for m in meet_members(g.target)), memo)
+            out.append(prune(Arrow(src, target), memo))
+    return out
 
 
-def _drop_absorbed(members: list) -> tuple:
-    """Drop members made redundant by absorption: an arrow whose source spine
-    contains another member's source spine and whose target coincides."""
-    keep = []
-    changed = False
-    for i, v in enumerate(members):
-        absorbed = False
-        if isinstance(v, Arrow):
-            vs = _spine_set(v.source)
-            for j, u in enumerate(members):
-                if i == j or not isinstance(u, Arrow):
-                    continue
-                if u.target is v.target and _spine_set(u.source) < vs:
-                    absorbed = True
-                    break
-        if absorbed:
-            changed = True
-        else:
-            keep.append(v)
-    return keep, changed
+def _absorbed(arrows: list) -> list:
+    """The arrows made redundant by absorption: those whose source spine
+    strictly contains another arrow's source spine, with the same target."""
+    spines = [frozenset(meet_members(v.source)) for v in arrows]
+    return [
+        v
+        for v, vs in zip(arrows, spines)
+        if any(u.target is v.target and us < vs for u, us in zip(arrows, spines))
+    ]
 
 
-def prune(e: Expr) -> Expr:
+def prune(e: Expr, memo: dict | None = None) -> Expr:
     """Normalize by reverse-dist merging and absorption removal, bottom up.
 
     Every step is a sound conversion move, so the result stays inside e's
-    congruence class; used to collapse search states quickly.
+    congruence class; used to collapse search states quickly.  Results are
+    memoized per subexpression in memo, which callers may share across calls.
     """
-    p = e.__dict__.get("_pruned")
-    if p is not None:
-        return p
-    c = slat_canonical(e)
-    if isinstance(c, Atom):
-        result = c
-    elif isinstance(c, Arrow):
-        result = Arrow(prune(c.source), prune(c.target))
-    else:
-        members = [prune(m) for m in meet_members(c)]
-        while True:
-            members, merged = _merge_cluster(members)
-            members, dropped = _drop_absorbed(members)
-            if not (merged or dropped):
-                break
-        result = slat_canonical(meet_of(members))
-    for node in (e, c, result):
-        object.__setattr__(node, "_pruned", result)
+    if memo is None:
+        memo = {}
+    result = memo.get(e)
+    if result is None:
+        c = slat_canonical(e)
+        if isinstance(c, Atom):
+            result = c
+        elif isinstance(c, Arrow):
+            result = Arrow(prune(c.source, memo), prune(c.target, memo))
+        else:
+            # One pass suffices: pruned sources are fixed points of prune, so
+            # the merged arrows keep distinct sources, and dropping creates
+            # no new absorption.
+            members = _merge_cluster([prune(m, memo) for m in meet_members(c)], memo)
+            dropped = _absorbed([m for m in members if isinstance(m, Arrow)])
+            result = slat_canonical(meet_of([m for m in members if m not in dropped]))
+        memo[e] = result
     return result
 
 
-def _neighbors(state: Expr, witnesses: list) -> list:
-    """Sound one-move successors of a slat-canonical state.
+def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
+    """Sound one-move successors of a slat-canonical expression, by structure.
 
-    Moves are dist and absp applied in both directions at arbitrary
-    positions, phrased on meet spines so that the asso/comm/idem orbit never
-    has to be searched: split one member out of an arrow's meet target (with
-    or without retaining the original), merge two same-source arrows,
-    append an absorption component from a witness, or drop an absorbed
-    component.
+    Moves are dist and absp applied in both directions anywhere inside x,
+    phrased on meet spines so that the asso/comm/idem orbit never has to be
+    searched.  An arrow appends an absorption component from a witness and
+    splits one member out of a meet target (with or without retaining the
+    original); a maximal meet merges two same-source arrow members or drops
+    an absorbed one.  A move inside a child is lifted through its parent, and
+    every result is slat-canonical.  Results are memoized per subexpression
+    in memo, so states sharing a subterm share its moves.
     """
+    out = memo.get(x)
+    if out is not None:
+        return out
     out = set()
-
-    def add(pos: Position, replacement: Expr) -> None:
-        out.add(slat_canonical(replace_at(state, pos, replacement)))
-
-    for pos, sub in subexpressions(state):
-        if isinstance(sub, Arrow):
-            src, tgt = sub.source, sub.target
-            for w in witnesses:
-                add(pos, Meet(sub, Arrow(Meet(src, w), tgt)))
-            if isinstance(tgt, Meet):
-                members = meet_members(tgt)
-                for i, x in enumerate(members):
-                    rest = members[:i] + members[i + 1:]
-                    add(pos, Meet(Arrow(src, x), Arrow(src, meet_of(rest))))
-                    add(pos, Meet(Arrow(src, x), sub))
-        elif isinstance(sub, Meet):
-            if pos and node_at(state, pos[:-1]).__class__ is Meet:
-                continue  # handle each maximal meet cluster once
-            members = meet_members(sub)
-            arrows = [(i, m) for i, m in enumerate(members) if isinstance(m, Arrow)]
-            for (i, u), (j, v) in combinations(arrows, 2):
-                if u.source is v.source:
-                    merged = Arrow(u.source, Meet(u.target, v.target))
-                    rest = [m for k, m in enumerate(members) if k not in (i, j)]
-                    add(pos, meet_of(rest + [merged]))
-            for (i, u) in arrows:
-                for (j, v) in arrows:
-                    if i == j or u.target is not v.target:
-                        continue
-                    if _spine_set(u.source) <= _spine_set(v.source):
-                        rest = [m for k, m in enumerate(members) if k != j]
-                        add(pos, meet_of(rest))
-    return sorted(out, key=render)
+    if isinstance(x, Arrow):
+        src, tgt = x.source, x.target
+        for w in witnesses:
+            out.add(slat_canonical(Meet(x, Arrow(Meet(src, w), tgt))))
+        if isinstance(tgt, Meet):
+            members = meet_members(tgt)
+            for i, y in enumerate(members):
+                rest = members[:i] + members[i + 1:]
+                out.add(slat_canonical(Meet(Arrow(src, y), Arrow(src, meet_of(rest)))))
+                out.add(slat_canonical(Meet(Arrow(src, y), x)))
+        out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
+        out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
+    elif isinstance(x, Meet):
+        members = meet_members(x)
+        arrows = [m for m in members if isinstance(m, Arrow)]
+        for u, v in combinations(arrows, 2):
+            if u.source is v.source:
+                merged = Arrow(u.source, Meet(u.target, v.target))
+                rest = [m for m in members if m is not u and m is not v]
+                out.add(slat_canonical(meet_of(rest + [merged])))
+        for v in _absorbed(arrows):
+            out.add(meet_of([m for m in members if m is not v]))
+        for i, m in enumerate(members):
+            rest = members[:i] + members[i + 1:]
+            for n in _successors(m, witnesses, memo):
+                out.add(_sorted_meet(rest + meet_members(n)))
+    out = memo[x] = frozenset(out)
+    return out
 
 
 def default_witnesses(*exprs: Expr) -> list:
@@ -521,19 +503,21 @@ def convertible_bounded(
     subexpressions of a and b).  Each side is expanded at most `budget`
     times, with both start states additionally seeded with their pruned
     forms.  CONFIRMED is returned exactly when the explored sets intersect,
-    which implies a and b are congruent; UNKNOWN implies nothing.
+    which implies a and b are congruent; UNKNOWN implies nothing.  Moves and
+    pruned forms are memoized per subexpression for the duration of the call.
     """
     if witnesses is None:
         witnesses = default_witnesses(a, b)
     else:
         witnesses = sorted({slat_canonical(w) for w in witnesses}, key=render)
 
+    moves, pruned_memo = {}, {}
     sides = []
     for root in (a, b):
         canon = slat_canonical(root)
         seen = {canon}
         queue = deque([canon])
-        pruned = prune(canon)
+        pruned = prune(canon, pruned_memo)
         if pruned not in seen:
             seen.add(pruned)
             queue.append(pruned)
@@ -552,8 +536,8 @@ def convertible_bounded(
                 continue
             state = queue.popleft()
             spent[idx] += 1
-            for nb in _neighbors(state, witnesses):
-                for candidate in (nb, prune(nb)):
+            for nb in sorted(_successors(state, witnesses, moves), key=render):
+                for candidate in (nb, prune(nb, pruned_memo)):
                     if candidate in other:
                         return Verdict.CONFIRMED
                     if candidate not in seen:

@@ -103,8 +103,14 @@ class _Node:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # pickle and copy re-intern through the constructor
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):  # pickle re-interns through the constructors
+        return _decode, (_encode(self),)
 
     def __repr__(self):
         args = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
@@ -135,6 +141,31 @@ class Meet(_Node):
 
 
 Expr = Union[Atom, Arrow, Meet]
+
+
+def _encode(root: Expr) -> list:
+    """The distinct nodes under root in postorder, without recursion: an atom
+    as its name, any other node as (class, child index, child index)."""
+    index, out, stack = {}, [], [root]
+    while stack:
+        x = stack[-1]
+        children = [] if isinstance(x, Atom) else [getattr(x, f) for f in x.__slots__]
+        missing = [c for c in children if c not in index]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if x not in index:
+            index[x] = len(out)
+            out.append((type(x), *map(index.get, children)) if children else x.name)
+    return out
+
+
+def _decode(entries: list) -> Expr:
+    nodes = []
+    for e in entries:
+        nodes.append(Atom(e) if isinstance(e, str) else e[0](nodes[e[1]], nodes[e[2]]))
+    return nodes[-1]
 
 
 class Polarity(Enum):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from bcd.rewrite import (
     Rule,
     Trace,
     Verdict,
+    _successors,
     absp,
     apply,
     convertible_bounded,
@@ -23,22 +25,29 @@ from bcd.rewrite import (
     dept_normal_form,
     dist_normal_form,
     meet_members,
+    meet_of,
     prune,
     redexes,
     slat_canonical,
 )
+from bcd import rewrite
 from bcd.syntax import (
     Arrow,
     Atom,
+    Expr,
     Meet,
+    Position,
     arrow_depth,
     ebb,
+    node_at,
     node_count,
     parse,
     render,
+    replace_at,
     subexpressions,
 )
 
+from bcd.gen import all_exprs, random_walk, witness_pool
 from bcd.gen import random_expr as random_expr_local
 
 from conftest import expr_strategy
@@ -389,8 +398,6 @@ class TestConvertibleBounded:
         rng = random.Random(11)
         cache = DecisionCache()
         checked = 0
-        from bcd.gen import all_exprs
-
         universe = all_exprs(("@", "p"), 5)
         for _ in range(300):
             a, b = rng.choice(universe), rng.choice(universe)
@@ -413,6 +420,23 @@ class TestPrune:
         cache = DecisionCache()
         assert cache.equiv(e, prune(e))
 
+    def test_shared_memo_matches_fresh_calls(self):
+        rng = random.Random(67)
+        base = _random_states(rng, 20)
+        family = base + [
+            rng.choice((Arrow, Meet))(rng.choice(base), rng.choice(base)) for _ in range(60)
+        ]
+        memo = {}
+        for e in family:
+            assert prune(e, memo) is prune(e)
+        assert all(memo[e] is prune(e) for e in family)
+
+    def test_matches_fixpoint_loop(self):
+        rng = random.Random(71)
+        exprs = _random_states(rng, 2000) + all_exprs(("@", "p"), 5)
+        for e in exprs:
+            assert prune(e) is _reference_prune(e), render(e)
+
 
 class TestRedoSoundness:
     @given(expr_strategy(max_leaves=10))
@@ -432,3 +456,185 @@ class TestRedoSoundness:
 
         for pos in redexes(e, dept(n), restricted=True):
             assert satisfies_eq(n, e, apply(e, dept(n), pos))
+
+
+def _spine_set(e: Expr) -> frozenset:
+    return frozenset(meet_members(e))
+
+
+# Reference prune: merge and drop repeated until neither applies, uncached.
+def _reference_merge_cluster(members: list) -> tuple:
+    """Union the targets of same-source arrow members (reverse dist,
+    repeatedly); newly merged members are re-pruned since their combined
+    targets may expose further merges."""
+    by_source = {}
+    rest = []
+    for m in members:
+        if isinstance(m, Arrow):
+            by_source.setdefault(m.source, []).append(m)
+        else:
+            rest.append(m)
+    out = list(rest)
+    changed = False
+    for src, group in by_source.items():
+        if len(group) == 1:
+            out.append(group[0])
+        else:
+            changed = True
+            spine = set()
+            for g in group:
+                spine |= _spine_set(g.target)
+            target = _reference_prune(meet_of(sorted(spine, key=render)))
+            out.append(_reference_prune(Arrow(src, target)))
+    return out, changed
+
+
+def _reference_drop_absorbed(members: list) -> tuple:
+    """Drop members made redundant by absorption: an arrow whose source spine
+    contains another member's source spine and whose target coincides."""
+    keep = []
+    changed = False
+    for i, v in enumerate(members):
+        absorbed = False
+        if isinstance(v, Arrow):
+            vs = _spine_set(v.source)
+            for j, u in enumerate(members):
+                if i == j or not isinstance(u, Arrow):
+                    continue
+                if u.target is v.target and _spine_set(u.source) < vs:
+                    absorbed = True
+                    break
+        if absorbed:
+            changed = True
+        else:
+            keep.append(v)
+    return keep, changed
+
+
+def _reference_prune(e: Expr) -> Expr:
+    """Normalize by reverse-dist merging and absorption removal, bottom up,
+    until neither applies."""
+    c = slat_canonical(e)
+    if isinstance(c, Atom):
+        result = c
+    elif isinstance(c, Arrow):
+        result = Arrow(_reference_prune(c.source), _reference_prune(c.target))
+    else:
+        members = [_reference_prune(m) for m in meet_members(c)]
+        while True:
+            members, merged = _reference_merge_cluster(members)
+            members, dropped = _reference_drop_absorbed(members)
+            if not (merged or dropped):
+                break
+        result = slat_canonical(meet_of(members))
+    return result
+
+
+# Reference successors: one move at each position of the state, rebuilt and
+# re-canonicalized in full, as the search computed them before _successors.
+def _reference_neighbors(state: Expr, witnesses: list) -> list:
+    """Sound one-move successors of a slat-canonical state.
+
+    Moves are dist and absp applied in both directions at arbitrary
+    positions, phrased on meet spines so that the asso/comm/idem orbit never
+    has to be searched: split one member out of an arrow's meet target (with
+    or without retaining the original), merge two same-source arrows,
+    append an absorption component from a witness, or drop an absorbed
+    component.
+    """
+    out = set()
+
+    def add(pos: Position, replacement: Expr) -> None:
+        out.add(slat_canonical(replace_at(state, pos, replacement)))
+
+    for pos, sub in subexpressions(state):
+        if isinstance(sub, Arrow):
+            src, tgt = sub.source, sub.target
+            for w in witnesses:
+                add(pos, Meet(sub, Arrow(Meet(src, w), tgt)))
+            if isinstance(tgt, Meet):
+                members = meet_members(tgt)
+                for i, x in enumerate(members):
+                    rest = members[:i] + members[i + 1:]
+                    add(pos, Meet(Arrow(src, x), Arrow(src, meet_of(rest))))
+                    add(pos, Meet(Arrow(src, x), sub))
+        elif isinstance(sub, Meet):
+            if pos and node_at(state, pos[:-1]).__class__ is Meet:
+                continue  # handle each maximal meet cluster once
+            members = meet_members(sub)
+            arrows = [(i, m) for i, m in enumerate(members) if isinstance(m, Arrow)]
+            for (i, u), (j, v) in combinations(arrows, 2):
+                if u.source is v.source:
+                    merged = Arrow(u.source, Meet(u.target, v.target))
+                    rest = [m for k, m in enumerate(members) if k not in (i, j)]
+                    add(pos, meet_of(rest + [merged]))
+            for (i, u) in arrows:
+                for (j, v) in arrows:
+                    if i == j or u.target is not v.target:
+                        continue
+                    if _spine_set(u.source) <= _spine_set(v.source):
+                        rest = [m for k, m in enumerate(members) if k != j]
+                        add(pos, meet_of(rest))
+    return sorted(out, key=render)
+
+
+
+def _random_states(rng: random.Random, count: int) -> list:
+    """Seeded slat-canonical states: random trees, and short random
+    reductions of small law-shaped sources, which carry the same-source
+    arrows and absorption components that the cluster moves act on."""
+    states = []
+    while len(states) < count:
+        if rng.random() < 0.5:
+            e = random_expr_local(rng, rng.randint(1, 17), atoms=("a", "b", "@"))
+        else:
+            src = random_expr_local(rng, rng.choice((3, 5, 7)), atoms=("a", "b", "@"))
+            e = random_walk(rng, src, 6, witnesses=witness_pool(src)).final
+        states.append(slat_canonical(e))
+    return states
+
+
+def _seeded_pool(rng: random.Random, state) -> list:
+    # canonical, deduplicated and sorted, as convertible_bounded passes them
+    subs = [sub for _, sub in subexpressions(state)]
+    picks = rng.sample(subs, min(len(subs), rng.randint(0, 3)))
+    picks += [random_expr_local(rng, 3) for _ in range(rng.randint(0, 1))]
+    return sorted({slat_canonical(w) for w in picks}, key=render)
+
+
+class TestSuccessors:
+    def test_matches_reference_on_random_states(self):
+        rng = random.Random(505)
+        states = _random_states(rng, 1000)
+        total = 0
+        for k in range(0, len(states), 50):
+            group = states[k:k + 50]
+            witnesses = _seeded_pool(rng, group[0])
+            memo = {}  # shared by the group, as one search shares it
+            for state in group:
+                for s in (state, prune(state)):
+                    got = sorted(_successors(s, witnesses, memo), key=render)
+                    assert got == _reference_neighbors(s, witnesses), render(s)
+                    total += len(got)
+        assert total > 5_000
+
+    def test_matches_reference_on_every_expanded_state(self, monkeypatch):
+        # the criterion-02 searches over the {@,p} universe of up to 3 nodes
+        visited = set()
+        inner = rewrite._successors
+
+        def recording(x, witnesses, memo):
+            visited.add((x, tuple(witnesses)))
+            return inner(x, witnesses, memo)
+
+        monkeypatch.setattr(rewrite, "_successors", recording)
+        universe = all_exprs(("@", "p"), 3)
+        cache = DecisionCache()
+        for i, a in enumerate(universe):
+            for b in universe[i:]:
+                budget = 10_000 if cache.equiv(a, b) else 15
+                convertible_bounded(a, b, budget=budget)
+        assert len(visited) > 500
+        for x, witnesses in visited:
+            got = sorted(inner(x, list(witnesses), {}), key=render)
+            assert got == _reference_neighbors(x, list(witnesses)), render(x)

@@ -339,6 +339,20 @@ class TestInterning:
         assert x is y
         assert x == y
 
+    def test_deep_chain_pickles_and_copies_without_recursion(self):
+        x = _chain(100_000)
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert copy.deepcopy([x, x.target])[1] is x.target
+
+    def test_pickle_keeps_shared_subterms_shared(self):
+        x = A
+        for _ in range(200):
+            x = Meet(x, x)  # 2^201 - 1 nodes as a tree, 201 distinct
+        assert len(pickle.dumps(x)) < 10_000
+        assert pickle.loads(pickle.dumps(x)) is x
+
     @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
     def test_unreferenced_expression_dies_in_one_collection(self, normalize):
         rng = random.Random(7)
