@@ -16,10 +16,17 @@ occurrences.  absp is generative (its C is arbitrary), so it never takes part
 in normalization; it appears only in the bounded conversion search, with
 witnesses drawn from a finite pool.
 
-All operations are pure; the conversion search keeps its frontier and its
-memos (successor sets and pruned forms per subterm) call-local, so the module
-is safe for unsynchronized concurrent use.  The only caches kept on nodes are
-slat_canonical's and the rendering's, both functions of the node alone.
+The conversion search holds each top-level state as the tuple of its meet
+members (distinct slat-canonical non-meets, sorted by rendering), so it never
+builds or re-flattens a top-level meet spine; meets nested inside arrows stay
+expressions.  Its successor memo depends on the witness pool and lives for
+one call.  Its pruned-form memo, keyed by node or by member tuple, depends on
+the key alone, so a caller may pass one dict to many searches.
+
+All operations are pure, and the search keeps its frontier and memos out of
+module state, so the module is safe for unsynchronized concurrent use.  The
+only caches kept on nodes are slat_canonical's and the rendering's, both
+functions of the node alone.
 """
 
 from __future__ import annotations
@@ -343,10 +350,19 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
     return go(e, 0)
 
 
+def _sorted_members(members) -> tuple:
+    """The distinct members sorted by rendering: for slat-canonical non-meets,
+    the member tuple of their meet's slat-canonical form."""
+    return tuple(sorted(set(members), key=render))
+
+
 def _sorted_meet(members) -> Expr:
     """Left-nested meet of the distinct slat-canonical non-meet members,
-    sorted by rendering: the slat-canonical form of their meet."""
-    return meet_of(sorted(set(members), key=render))
+    sorted by rendering: the slat-canonical form of their meet, recorded as
+    its own."""
+    c = meet_of(_sorted_members(members))
+    object.__setattr__(c, "_slat", c)
+    return c
 
 
 def slat_canonical(e: Expr) -> Expr:
@@ -411,6 +427,19 @@ def _absorbed(arrows: list) -> list:
     ]
 
 
+def _prune_members(members, memo: dict) -> tuple:
+    """prune's meet step: the member tuple of the pruned meet of the given
+    slat-canonical non-meets.
+
+    One pass suffices: pruned sources are fixed points of prune, so the
+    merged arrows keep distinct sources, and dropping creates no new
+    absorption.
+    """
+    members = _merge_cluster([prune(m, memo) for m in members], memo)
+    dropped = _absorbed([m for m in members if isinstance(m, Arrow)])
+    return _sorted_members(m for m in members if m not in dropped)
+
+
 def prune(e: Expr, memo: dict | None = None) -> Expr:
     """Normalize by reverse-dist merging and absorption removal, bottom up.
 
@@ -428,27 +457,47 @@ def prune(e: Expr, memo: dict | None = None) -> Expr:
         elif isinstance(c, Arrow):
             result = Arrow(prune(c.source, memo), prune(c.target, memo))
         else:
-            # One pass suffices: pruned sources are fixed points of prune, so
-            # the merged arrows keep distinct sources, and dropping creates
-            # no new absorption.
-            members = _merge_cluster([prune(m, memo) for m in meet_members(c)], memo)
-            dropped = _absorbed([m for m in members if isinstance(m, Arrow)])
-            result = slat_canonical(meet_of([m for m in members if m not in dropped]))
+            result = meet_of(_prune_members(meet_members(c), memo))
         memo[e] = result
     return result
 
 
+def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
+    """Sound one-move successors of the meet of a member tuple, as member
+    tuples.
+
+    The members are distinct slat-canonical non-meets sorted by rendering,
+    and so is every result.  The meet-level moves merge two same-source
+    arrow members, drop an absorbed one, or replace one member by the
+    members of one of its own moves.
+    """
+    out = set()
+    arrows = [m for m in members if isinstance(m, Arrow)]
+    for u, v in combinations(arrows, 2):
+        if u.source is v.source:
+            merged = Arrow(u.source, _sorted_meet(meet_members(u.target) + meet_members(v.target)))
+            out.add(_sorted_members([m for m in members if m is not u and m is not v] + [merged]))
+    for v in _absorbed(arrows):
+        out.add(tuple(m for m in members if m is not v))
+    for i, m in enumerate(members):
+        rest = members[:i] + members[i + 1:]
+        for n in _successors(m, witnesses, memo):
+            out.add(_sorted_members(rest + tuple(meet_members(n))))
+    return out
+
+
 def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
-    """Sound one-move successors of a slat-canonical expression, by structure.
+    """Sound one-move successors of a slat-canonical expression, by structure,
+    with absp witnesses drawn from a slat-canonical pool.
 
     Moves are dist and absp applied in both directions anywhere inside x,
     phrased on meet spines so that the asso/comm/idem orbit never has to be
     searched.  An arrow appends an absorption component from a witness and
     splits one member out of a meet target (with or without retaining the
-    original); a maximal meet merges two same-source arrow members or drops
-    an absorbed one.  A move inside a child is lifted through its parent, and
-    every result is slat-canonical.  Results are memoized per subexpression
-    in memo, so states sharing a subterm share its moves.
+    original); a maximal meet takes the moves of _member_successors.  A move
+    inside a child is lifted through its parent, and every result is
+    slat-canonical.  Results are memoized per subexpression in memo, so
+    states sharing a subterm share its moves.
     """
     out = memo.get(x)
     if out is not None:
@@ -456,32 +505,28 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     out = set()
     if isinstance(x, Arrow):
         src, tgt = x.source, x.target
+        sources = meet_members(src)
         for w in witnesses:
-            out.add(slat_canonical(Meet(x, Arrow(Meet(src, w), tgt))))
+            out.add(_sorted_meet([x, Arrow(_sorted_meet(sources + meet_members(w)), tgt)]))
         if isinstance(tgt, Meet):
             members = meet_members(tgt)
             for i, y in enumerate(members):
                 rest = members[:i] + members[i + 1:]
-                out.add(slat_canonical(Meet(Arrow(src, y), Arrow(src, meet_of(rest)))))
-                out.add(slat_canonical(Meet(Arrow(src, y), x)))
+                out.add(_sorted_meet([Arrow(src, y), Arrow(src, meet_of(rest))]))
+                out.add(_sorted_meet([Arrow(src, y), x]))
         out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
         out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
     elif isinstance(x, Meet):
-        members = meet_members(x)
-        arrows = [m for m in members if isinstance(m, Arrow)]
-        for u, v in combinations(arrows, 2):
-            if u.source is v.source:
-                merged = Arrow(u.source, Meet(u.target, v.target))
-                rest = [m for m in members if m is not u and m is not v]
-                out.add(slat_canonical(meet_of(rest + [merged])))
-        for v in _absorbed(arrows):
-            out.add(meet_of([m for m in members if m is not v]))
-        for i, m in enumerate(members):
-            rest = members[:i] + members[i + 1:]
-            for n in _successors(m, witnesses, memo):
-                out.add(_sorted_meet(rest + meet_members(n)))
+        out = {meet_of(t) for t in _member_successors(tuple(meet_members(x)), witnesses, memo)}
     out = memo[x] = frozenset(out)
     return out
+
+
+def _state_key(state: tuple) -> str:
+    """render(meet_of(state)), without building the meet."""
+    if len(state) == 1:
+        return render(state[0])
+    return " & ".join("(" + render(m) + ")" if isinstance(m, Arrow) else render(m) for m in state)
 
 
 def default_witnesses(*exprs: Expr) -> list:
@@ -495,32 +540,44 @@ def convertible_bounded(
     b: Expr,
     budget: int = 1000,
     witnesses=None,
+    memo: dict | None = None,
 ) -> Verdict:
     """Bidirectional breadth-first search for a conversion between a and b.
 
-    States are slat-canonical; moves are dist and absp in both directions,
-    with absp instantiated only from the witness pool (by default the
-    subexpressions of a and b).  Each side is expanded at most `budget`
-    times, with both start states additionally seeded with their pruned
-    forms.  CONFIRMED is returned exactly when the explored sets intersect,
-    which implies a and b are congruent; UNKNOWN implies nothing.  Moves and
-    pruned forms are memoized per subexpression for the duration of the call.
+    States are slat-canonical, each held as the tuple of its top-level meet
+    members; moves are dist and absp in both directions, with absp
+    instantiated only from the witness pool (by default the subexpressions
+    of a and b).  Each side is expanded at most `budget` times, in order of
+    the states' renderings, and every successor is followed by its pruned
+    form.  CONFIRMED is returned exactly when the explored sets intersect,
+    which implies a and b are congruent; UNKNOWN implies nothing.  Moves are
+    memoized per subexpression for the duration of the call.  Pruned forms
+    are memoized in memo, per node and per member tuple; a caller may share
+    it across calls, since a pruned form depends on its key alone.
     """
     if witnesses is None:
         witnesses = default_witnesses(a, b)
     else:
         witnesses = sorted({slat_canonical(w) for w in witnesses}, key=render)
+    if memo is None:
+        memo = {}
 
-    moves, pruned_memo = {}, {}
+    def pruned(state: tuple) -> tuple:
+        p = memo.get(state)
+        if p is None:
+            p = memo[state] = _prune_members(state, memo)
+        return p
+
+    moves = {}
     sides = []
     for root in (a, b):
-        canon = slat_canonical(root)
+        canon = tuple(meet_members(slat_canonical(root)))
         seen = {canon}
         queue = deque([canon])
-        pruned = prune(canon, pruned_memo)
-        if pruned not in seen:
-            seen.add(pruned)
-            queue.append(pruned)
+        p = pruned(canon)
+        if p not in seen:
+            seen.add(p)
+            queue.append(p)
         sides.append((seen, queue))
 
     (seen_a, queue_a), (seen_b, queue_b) = sides
@@ -536,8 +593,8 @@ def convertible_bounded(
                 continue
             state = queue.popleft()
             spent[idx] += 1
-            for nb in sorted(_successors(state, witnesses, moves), key=render):
-                for candidate in (nb, prune(nb, pruned_memo)):
+            for nb in sorted(_member_successors(state, witnesses, moves), key=_state_key):
+                for candidate in (nb, pruned(nb)):
                     if candidate in other:
                         return Verdict.CONFIRMED
                     if candidate not in seen:

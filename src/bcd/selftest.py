@@ -139,9 +139,11 @@ def criterion_oracle_agreement(
     max_nodes: int = 6,
 ):
     """Bounded conversion search against the decision procedure on the
-    exhaustive two-atom universe."""
+    exhaustive two-atom universe.  All searches share one pruned-form memo,
+    which is sound because a pruned form depends on its key alone."""
     universe = all_exprs(("@", "p"), max_nodes)
     cache = DecisionCache()
+    pruned = {}
     t0 = time.perf_counter()
     disagreements = []
     true_pairs = 0
@@ -150,13 +152,13 @@ def criterion_oracle_agreement(
             a, b = universe[i], universe[j]
             if cache.equiv(a, b):
                 true_pairs += 1
-                verdict = convertible_bounded(a, b, budget=200)
+                verdict = convertible_bounded(a, b, budget=200, memo=pruned)
                 if verdict is not Verdict.CONFIRMED:
-                    verdict = convertible_bounded(a, b, budget=budget_true)
+                    verdict = convertible_bounded(a, b, budget=budget_true, memo=pruned)
                 if verdict is not Verdict.CONFIRMED:
                     disagreements.append(("equiv but not confirmed", a, b))
             else:
-                if convertible_bounded(a, b, budget=budget_false) is Verdict.CONFIRMED:
+                if convertible_bounded(a, b, budget=budget_false, memo=pruned) is Verdict.CONFIRMED:
                     disagreements.append(("confirmed but not equiv", a, b))
     elapsed = time.perf_counter() - t0
     pair_total = len(universe) * (len(universe) + 1) // 2
@@ -169,7 +171,17 @@ def criterion_oracle_agreement(
 
 
 def criterion_finite_model_property(depth: int = 2, max_nodes: int = 6):
-    """Truncation-model equality matches congruence on the exhaustive universe."""
+    """Truncation-model equality matches congruence on the exhaustive universe,
+    and the tables of the ({@,p}, 1) model match congruence and the order.
+
+    The first check alone is vacuous at its full scale: every expression of
+    its universe has arrow depth at most `depth`, so depth truncation leaves
+    it unchanged and satisfies_eq(depth, a, b) is equiv(a, b) itself.  The
+    table path evaluates through the model's meet and arrow tables instead,
+    on every pair of the {@,p} expressions with at most 7 nodes and arrow
+    depth at most 1: eval(a) == eval(b) iff a ~ b, and eval(a & b) == eval(a)
+    iff a <= b, in both directions.
+    """
     universe = [
         e for e in all_exprs(("@", "p"), max_nodes) if arrow_depth(e) < depth + 1
     ]
@@ -182,8 +194,27 @@ def criterion_finite_model_property(depth: int = 2, max_nodes: int = 6):
             total += 1
             if satisfies_eq(depth, a, b) != cache.equiv(a, b):
                 bad += 1
-    ok = bad == 0
-    return ok, f"depth {depth}, {total} pairs, {bad} disagreements"
+
+    model = build_model(("@", "p"), 1)
+    table_universe = [e for e in all_exprs(("@", "p"), 7) if arrow_depth(e) <= 1]
+    values = [model.eval(e) for e in table_universe]
+    table_bad = 0
+    table_pairs = 0
+    for i, (a, va) in enumerate(zip(table_universe, values)):
+        for b, vb in zip(table_universe[i:], values[i:]):
+            table_pairs += 1
+            if (
+                (va == vb) != cache.equiv(a, b)
+                or (model.eval(Meet(a, b)) == va) != cache.subseteq(a, b)
+                or (model.eval(Meet(b, a)) == vb) != cache.subseteq(b, a)
+            ):
+                table_bad += 1
+    ok = bad == 0 and table_bad == 0
+    return ok, (
+        f"depth {depth}, {total} pairs, {bad} disagreements; "
+        f"tables of ({{@,p}}, 1): {len(table_universe)} expressions, "
+        f"{table_pairs} pairs, {table_bad} disagreements"
+    )
 
 
 def criterion_carrier_counts():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -17,10 +18,12 @@ from bcd.rewrite import (
     Rule,
     Trace,
     Verdict,
+    _state_key,
     _successors,
     absp,
     apply,
     convertible_bounded,
+    default_witnesses,
     dept,
     dept_normal_form,
     dist_normal_form,
@@ -619,15 +622,17 @@ class TestSuccessors:
         assert total > 5_000
 
     def test_matches_reference_on_every_expanded_state(self, monkeypatch):
-        # the criterion-02 searches over the {@,p} universe of up to 3 nodes
+        # the criterion-02 searches over the {@,p} universe of up to 3 nodes;
+        # every state, top-level or a meet nested in one, goes through the
+        # state-level routine as a member tuple
         visited = set()
-        inner = rewrite._successors
+        inner = rewrite._member_successors
 
-        def recording(x, witnesses, memo):
-            visited.add((x, tuple(witnesses)))
-            return inner(x, witnesses, memo)
+        def recording(members, witnesses, memo):
+            visited.add((members, tuple(witnesses)))
+            return inner(members, witnesses, memo)
 
-        monkeypatch.setattr(rewrite, "_successors", recording)
+        monkeypatch.setattr(rewrite, "_member_successors", recording)
         universe = all_exprs(("@", "p"), 3)
         cache = DecisionCache()
         for i, a in enumerate(universe):
@@ -635,6 +640,154 @@ class TestSuccessors:
                 budget = 10_000 if cache.equiv(a, b) else 15
                 convertible_bounded(a, b, budget=budget)
         assert len(visited) > 500
-        for x, witnesses in visited:
-            got = sorted(inner(x, list(witnesses), {}), key=render)
+        for members, witnesses in visited:
+            x = meet_of(members)
+            got = sorted((meet_of(t) for t in inner(members, list(witnesses), {})), key=render)
             assert got == _reference_neighbors(x, list(witnesses)), render(x)
+
+
+# Reference search: convertible_bounded as it was when a search state was a
+# slat-canonical expression, verbatim apart from the log of expanded states.
+def _reference_search(
+    a: Expr,
+    b: Expr,
+    budget: int = 1000,
+    witnesses=None,
+    log: list = None,
+) -> Verdict:
+    """Bidirectional breadth-first search for a conversion between a and b.
+
+    States are slat-canonical; moves are dist and absp in both directions,
+    with absp instantiated only from the witness pool (by default the
+    subexpressions of a and b).  Each side is expanded at most `budget`
+    times, with both start states additionally seeded with their pruned
+    forms.  CONFIRMED is returned exactly when the explored sets intersect,
+    which implies a and b are congruent; UNKNOWN implies nothing.  Moves and
+    pruned forms are memoized per subexpression for the duration of the call.
+    """
+    if witnesses is None:
+        witnesses = default_witnesses(a, b)
+    else:
+        witnesses = sorted({slat_canonical(w) for w in witnesses}, key=render)
+
+    moves, pruned_memo = {}, {}
+    sides = []
+    for root in (a, b):
+        canon = slat_canonical(root)
+        seen = {canon}
+        queue = deque([canon])
+        pruned = prune(canon, pruned_memo)
+        if pruned not in seen:
+            seen.add(pruned)
+            queue.append(pruned)
+        sides.append((seen, queue))
+
+    (seen_a, queue_a), (seen_b, queue_b) = sides
+    if seen_a & seen_b:
+        return Verdict.CONFIRMED
+
+    spent = [0, 0]
+    while (queue_a and spent[0] < budget) or (queue_b and spent[1] < budget):
+        for idx, (seen, queue, other) in enumerate(
+            ((seen_a, queue_a, seen_b), (seen_b, queue_b, seen_a))
+        ):
+            if not queue or spent[idx] >= budget:
+                continue
+            state = queue.popleft()
+            log.append(render(state))
+            spent[idx] += 1
+            for nb in sorted(_successors(state, witnesses, moves), key=render):
+                for candidate in (nb, prune(nb, pruned_memo)):
+                    if candidate in other:
+                        return Verdict.CONFIRMED
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        queue.append(candidate)
+    return Verdict.UNKNOWN
+
+
+def _logged_search(monkeypatch, a, b, **kwargs):
+    """convertible_bounded's verdict and the renderings of the states it
+    expands, in order: the top-level calls of the state-level routine."""
+    log, depth = [], [0]
+    inner = rewrite._member_successors
+
+    def recording(members, witnesses, memo):
+        if not depth[0]:
+            assert _state_key(members) == render(meet_of(members))
+            log.append(render(meet_of(members)))
+        depth[0] += 1
+        try:
+            return inner(members, witnesses, memo)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_member_successors", recording)
+        verdict = convertible_bounded(a, b, **kwargs)
+    return verdict, log
+
+
+class TestSearchMatchesReference:
+    """Member-tuple states expand the same states, in the same order, with
+    the same verdicts, as the search over expressions did."""
+
+    def check(self, monkeypatch, a, b, **kwargs):
+        expected = []
+        reference_kwargs = {k: v for k, v in kwargs.items() if k != "memo"}
+        verdict = _reference_search(a, b, log=expected, **reference_kwargs)
+        got, log = _logged_search(monkeypatch, a, b, **kwargs)
+        assert got is verdict, (render(a), render(b))
+        assert log == expected, (render(a), render(b))
+        return verdict, len(log)
+
+    def test_criterion_02_universe(self, monkeypatch):
+        # criterion 02's budgets, with one pruned-form memo for every search
+        universe = all_exprs(("@", "p"), 4)
+        cache = DecisionCache()
+        memo = {}
+        confirmed = expanded = 0
+        for i, a in enumerate(universe):
+            for b in universe[i:]:
+                if cache.equiv(a, b):
+                    verdict, n = self.check(monkeypatch, a, b, budget=200, memo=memo)
+                    expanded += n
+                    if verdict is not Verdict.CONFIRMED:
+                        verdict, n = self.check(monkeypatch, a, b, budget=10_000, memo=memo)
+                        expanded += n
+                    assert verdict is Verdict.CONFIRMED
+                    confirmed += 1
+                else:
+                    verdict, n = self.check(monkeypatch, a, b, budget=15, memo=memo)
+                    expanded += n
+        assert confirmed == 13 and expanded > 500
+
+    def test_confluence_peaks(self, monkeypatch):
+        # criterion-07-style peaks: two short walks from one source, joined
+        # under the source's and the walks' witness pool
+        rng = random.Random(707)
+        for _ in range(150):
+            src = random_expr_local(rng, rng.randint(1, 12), ("a", "b", "c"))
+            pool = witness_pool(src)
+            a = random_walk(rng, src, 4, witnesses=pool).final
+            b = random_walk(rng, src, 4, witnesses=pool).final
+            verdict, _ = self.check(monkeypatch, a, b, budget=4000, witnesses=witness_pool(src, a, b))
+            assert verdict is Verdict.CONFIRMED
+
+    def test_sample_of_criterion_02_pairs(self, monkeypatch):
+        # most peaks rejoin before any expansion, so the long searches come
+        # from a seeded sample of criterion 02's own pairs
+        rng = random.Random(202)
+        universe = all_exprs(("@", "p"), 6)
+        cache = DecisionCache()
+        pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i:]]
+        congruent = [p for p in pairs if cache.equiv(*p)]
+        expanded = 0
+        for a, b in rng.sample(congruent, 24):
+            verdict, n = self.check(monkeypatch, a, b, budget=200)
+            expanded += n
+            if verdict is not Verdict.CONFIRMED:
+                expanded += self.check(monkeypatch, a, b, budget=10_000)[1]
+        for a, b in rng.sample(pairs, 100):
+            expanded += self.check(monkeypatch, a, b, budget=15)[1]
+        assert expanded > 1_000
