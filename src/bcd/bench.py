@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import time
 
 from .decide import DecisionCache, subtype_matrix
@@ -12,17 +11,11 @@ from .gen import random_expr
 from .syntax import node_count
 
 
-def _ensure_recursion_room(limit: int = 20000) -> None:
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-
 def time_matrix(size: int, seed: int = 0) -> tuple:
     """Wall time of subtype_matrix on a random instance.
 
     Returns (actual node count, seconds).
     """
-    _ensure_recursion_room()
     rng = random.Random(seed)
     root = random_expr(rng, size)
     t0 = time.perf_counter()
@@ -50,7 +43,6 @@ def fitted_exponent(pairs) -> float:
 
 def time_decision(total_nodes: int = 1000, seed: int = 0) -> float:
     """Wall time of one subtype decision on a pair totalling total_nodes nodes."""
-    _ensure_recursion_room()
     rng = random.Random(seed)
     a = random_expr(rng, total_nodes // 2)
     b = random_expr(rng, total_nodes // 2)

@@ -101,13 +101,12 @@ def _cmd_sat(args) -> int:
 
 def _cmd_model(args) -> int:
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
-    model = build_model(
-        atoms,
-        args.depth,
-        max_atoms=args.max_atoms,
-        max_depth=args.max_depth,
-        max_candidates=args.max_candidates,
-    )
+    caps = {
+        cap: getattr(args, cap)
+        for cap in ("max_atoms", "max_depth", "max_candidates")
+        if getattr(args, cap) is not None
+    }
+    model = build_model(atoms, args.depth, **caps)
     bound = stack_of_twos(args.depth + 1, len(model.atoms) + args.depth)
     if args.json:
         obj = {
@@ -213,9 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--tables", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-atoms", type=int, default=2)
-    p.add_argument("--max-depth", type=int, default=1)
-    p.add_argument("--max-candidates", type=int, default=4096)
+    p.add_argument("--max-atoms", type=int)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--max-candidates", type=int)
 
     p = sub.add_parser("bench", help="time the subtype matrix on random instances")
     p.add_argument("--sizes", default="200,400,800,1600")

@@ -12,20 +12,24 @@ factor matching, a type with one factor lies below a meet exactly when it
 lies below one of the operands, so the mask of a meet is the OR of its
 members' masks; and a meet lies below another exactly when its mask
 contains the other's, so two meets are congruent iff their masks are equal.
-The carrier is therefore the OR-closure of the primes' masks, found
-breadth-first with |carrier| * |primes| ORs and one decision per
-(prime, unit) pair; no subset of primes is ever visited.
+The carrier is therefore the OR-closure of the primes' masks, which costs
+|carrier| * |primes| ORs and one decision per (prime, unit) pair; no subset
+of primes is ever visited.
 
-Classes come in the order of their least prime subset (bit k for prime k,
-compared as integers), and each is represented by the slat-canonical meet
-of that subset: the order and representatives a walk over all subsets in
-increasing order would keep.  The meet table ORs two class masks.  The
-arrow table needs no per-entry decision either: truncating Arrow(c_i, c_j)
-at depth n gives Arrow(t_i, t_j) with t_i the depth-(n-1) truncation of
-c_i, which is congruent to the level-n prime Arrow(prev[pi(i)],
-prev[pi(j)]), where pi(i) is the previous level's class of t_i.  So the
-table costs one projection pi per class plus a lookup per entry.  At depth
-0 every arrow is @.
+The closure adds the primes one at a time in index order, recording for
+each class the prime subset (bit k for prime k) that first reaches it.  A
+class first reached by prime k has k as the highest prime of its least
+subset, and the first class to reach it while the earlier classes are
+scanned in order carries the least subset below k.  So classes come in the
+order of their least prime subset, compared as integers, and each is
+represented by the slat-canonical meet of that subset: the order and
+representatives a walk over all subsets in increasing order would keep.
+The meet table ORs two class masks.  The arrow table needs no per-entry
+decision either: truncating Arrow(c_i, c_j) at depth n gives Arrow(t_i, t_j)
+with t_i the depth-(n-1) truncation of c_i, which is congruent to the
+level-n prime Arrow(prev[pi(i)], prev[pi(j)]), where pi(i) is the previous
+level's class of t_i.  So the table costs one projection pi per class plus
+a lookup per entry.  At depth 0 every arrow is @.
 
 Equality in the depth-n model can be decided without the carrier: truncating
 at depth n is a sound model-preserving reduction, and truncated expressions
@@ -84,7 +88,7 @@ class StackOfTwos:
         return cls(n, m, stack_of_twos(n, m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Carrier of canonical representatives with meet and arrow tables."""
 
@@ -135,62 +139,30 @@ def _unit_mask(cache: DecisionCache, e: Expr, units) -> int:
     return mask
 
 
-def _least_subset(mask: int, pmask: list) -> int:
-    """Least prime subset (bit k for prime k) whose masks OR to mask.
-
-    Only primes with pmask[k] inside mask can take part.  Minimising the
-    subset as an integer means minimising its highest prime first: the
-    least m at which the eligible primes up to m cover what is still
-    needed.  Prime m must then be in, and the rest is the same problem
-    below m for the bits that m leaves uncovered.
-    """
-    eligible = [(k, pm) for k, pm in enumerate(pmask) if not pm & ~mask]
-    need, subset, hi = mask, 0, len(eligible)
-    while need:
-        cover = 0
-        for idx in range(hi):
-            cover |= eligible[idx][1]
-            if not need & ~cover:
-                break
-        k, pm = eligible[idx]
-        subset |= 1 << k
-        need &= ~pm
-        hi = idx
-    return subset
-
-
 def _close_level(cache: DecisionCache, primes: list):
     """The carrier over primes, as (units, pmask, masks, carrier).
 
     masks[i] is the unit mask of carrier class i, and carrier[i] its
-    canonical representative; classes come in the order of their least
-    prime subsets.
+    canonical representative.  The primes join the closure one at a time
+    in index order, so each class's least prime subset is the one that
+    first reaches it and the classes come in least-subset order.
     """
     memo: dict = {}
     units = tuple(
         dict.fromkeys(factor_to_expr(f) for p in primes for f in factors(p, memo))
     )
     pmask = [_unit_mask(cache, p, units) for p in primes]
-    seen = set(pmask)
-    frontier = list(seen)
-    while frontier:
-        grown = []
-        for m in frontier:
-            for pm in pmask:
-                c = m | pm
-                if c not in seen:
-                    seen.add(c)
-                    grown.append(c)
-        frontier = grown
-    subsets = {m: _least_subset(m, pmask) for m in seen}
-    masks = sorted(seen, key=subsets.__getitem__)
+    least = {0: 0}
+    for k, pm in enumerate(pmask):
+        bit = 1 << k
+        for m, s in list(least.items()):
+            least.setdefault(m | pm, s | bit)
+    del least[0]
     carrier = [
-        slat_canonical(
-            meet_of(primes[k] for k in range(len(primes)) if subsets[m] >> k & 1)
-        )
-        for m in masks
+        slat_canonical(meet_of(primes[k] for k in range(len(primes)) if s >> k & 1))
+        for s in least.values()
     ]
-    return units, pmask, masks, carrier
+    return units, pmask, list(least), carrier
 
 
 def build_model(
@@ -203,9 +175,9 @@ def build_model(
 ) -> Model:
     """Enumerate the depth-n carrier over the given atoms and fill the tables.
 
-    Each level closes its primes' unit masks under OR and orders the
-    classes by least prime subset; the meet table ORs two class masks, and
-    the arrow table reads the class of the level prime
+    Each level closes its primes' unit masks under OR, prime by prime,
+    which orders the classes by least prime subset; the meet table ORs two
+    class masks, and the arrow table reads the class of the level prime
     Arrow(prev[pi(i)], prev[pi(j)]), where pi projects a class onto the
     previous level by truncation.  See the module docstring for why.
 

@@ -436,29 +436,9 @@ def ebb(e: Expr, pos: Position = ()) -> int:
     Consequently ebb(c -> d, ()) == 1 and the ebb of an atom at the root is 0.
     Extending a position never decreases ebb.
     """
-    cur = e
-    count = 0
-    for step in pos:
-        if isinstance(cur, Arrow):
-            count += 1
-            if step == ARROW_SOURCE:
-                cur = cur.source
-            elif step == ARROW_TARGET:
-                cur = cur.target
-            else:
-                raise InvalidPosition(f"step {step!r} does not apply at {cur!r}")
-        elif isinstance(cur, Meet):
-            if step == MEET_LEFT:
-                cur = cur.left
-            elif step == MEET_RIGHT:
-                cur = cur.right
-            else:
-                raise InvalidPosition(f"step {step!r} does not apply at {cur!r}")
-        else:
-            raise InvalidPosition(f"step {step!r} does not apply at {cur!r}")
-    if isinstance(cur, Arrow):
-        count += 1
-    return count
+    at = node_at(e, pos)  # validates, raises InvalidPosition
+    steps = sum(1 for step in pos if step in (ARROW_SOURCE, ARROW_TARGET))
+    return steps + isinstance(at, Arrow)
 
 
 def arrow_depth(e: Expr) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from bcd.model import (
     LimitExceeded,
     StackOfTwos,
     UnknownAtom,
+    _close_level,
     build_model,
     satisfies_eq,
     stack_of_twos,
@@ -123,6 +125,11 @@ class TestBuildModel:
         with pytest.raises(LimitExceeded):
             build_model(["@", "p"], 1, max_candidates=100)
 
+    def test_model_is_frozen(self):
+        m = build_model(["@"], 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.carrier = ()
+
 
 def _reference_build(atoms, depth):
     """The subset enumeration: every nonempty prime subset, deduplicated by
@@ -186,12 +193,55 @@ class TestReferenceEnumeration:
         assert {a: m.eval(Atom(a)) for a in m.atoms} == atom_index
 
 
+# An independent least-subset search: the reference that the closure's
+# class order and representatives are checked against.
+def _reference_least_subset(mask: int, pmask: list) -> int:
+    """Least prime subset (bit k for prime k) whose masks OR to mask.
+
+    Only primes with pmask[k] inside mask can take part.  Minimising the
+    subset as an integer means minimising its highest prime first: the
+    least m at which the eligible primes up to m cover what is still
+    needed.  Prime m must then be in, and the rest is the same problem
+    below m for the bits that m leaves uncovered.
+    """
+    eligible = [(k, pm) for k, pm in enumerate(pmask) if not pm & ~mask]
+    need, subset, hi = mask, 0, len(eligible)
+    while need:
+        cover = 0
+        for idx in range(hi):
+            cover |= eligible[idx][1]
+            if not need & ~cover:
+                break
+        k, pm = eligible[idx]
+        subset |= 1 << k
+        need &= ~pm
+        hi = idx
+    return subset
+
+
+class TestCloseLevel:
+    def test_three_atom_level_one_in_least_subset_order(self):
+        # the level-1 primes over {@,p,q}: 3 atoms and 49 arrows
+        atoms = [Atom(a) for a in ("@", "p", "q")]
+        level0 = build_model(["@", "p", "q"], 0, max_atoms=3).carrier
+        primes = atoms + [Arrow(x, y) for x in level0 for y in level0]
+        _, pmask, masks, carrier = _close_level(DecisionCache(), primes)
+        assert len(masks) == len(carrier) == 54_871
+        assert len(masks) <= stack_of_twos(2, 4)
+        subsets = [_reference_least_subset(m, pmask) for m in masks]
+        assert all(a < b for a, b in zip(subsets, subsets[1:]))
+        for rep, subset in zip(carrier, subsets):
+            members = (primes[k] for k in range(len(primes)) if subset >> k & 1)
+            assert rep is slat_canonical(meet_of(members))
+
+
 @pytest.fixture(scope="module")
 def models():
     return [
         build_model(["@"], 1),
         build_model(["@", "p"], 0),
         build_model(["@", "p"], 1),
+        build_model(["@"], 2, max_depth=2),
     ]
 
 
