@@ -2,8 +2,11 @@
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
-recursion limit).  --json switches output to a single JSON object on stdout;
-diagnostics go to stderr.
+recursion limit).  Parsing and ascii rendering never recurse, so `parse`
+prints any depth; deciding, factoring, normalizing and JSON conversion still
+recurse, and they raise the RecursionError that deep input turns into exit
+3.  --json switches output to a single JSON object on stdout; diagnostics go
+to stderr.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 from .decide import DecisionCache, equiv
 from .factors import factor_to_expr, factors
-from .rewrite import INFINITE_DEPTH, dept_normal_form, meet_of, slat_canonical
-from .syntax import TRUNCATION_ATOM, Arrow, Atom, Expr, Meet, atoms_of
+from .rewrite import INFINITE_DEPTH, dept_normal_form, meet_of
+from .syntax import TRUNCATION_ATOM, Arrow, Atom, Expr, Meet, atoms_of, render
 
 _OVERFLOW_CAP = 1_000_000
 
@@ -158,10 +158,10 @@ def _close_level(cache: DecisionCache, primes: list):
         for m, s in list(least.items()):
             least.setdefault(m | pm, s | bit)
     del least[0]
-    carrier = [
-        slat_canonical(meet_of(primes[k] for k in range(len(primes)) if s >> k & 1))
-        for s in least.values()
-    ]
+    # The primes are distinct slat-canonical non-meets, so the meet of a
+    # subset taken in rendering order is already its slat-canonical form.
+    order = sorted(range(len(primes)), key=lambda k: render(primes[k]))
+    carrier = [meet_of(primes[k] for k in order if s >> k & 1) for s in least.values()]
     return units, pmask, list(least), carrier
 
 

@@ -174,32 +174,26 @@ def _dept_matches(sub: Expr, restricted: bool) -> bool:
 def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
     """All positions where the rule's left hand side matches, in preorder."""
     _check_params(rule)
-    if rule.kind == "dept":
-        n = rule.depth_param
-        out = []
-        # carry the arrow count above each node; a node's own ebb adds one
-        # more when the node is an arrow
-        stack = [((), e, 0)]
-        collected = []
-        while stack:
-            pos, x, above = stack.pop()
-            here = above + 1 if isinstance(x, Arrow) else above
-            collected.append((pos, x, here))
-            if isinstance(x, Arrow):
-                stack.append((pos + (ARROW_TARGET,), x.target, here))
-                stack.append((pos + (ARROW_SOURCE,), x.source, here))
-            elif isinstance(x, Meet):
-                stack.append((pos + (MEET_RIGHT,), x.right, here))
-                stack.append((pos + (MEET_LEFT,), x.left, here))
-        for pos, x, here in collected:
+    kind, n = rule.kind, rule.depth_param
+    out = []
+    # carry the arrow count above each node; a node's own ebb adds one more
+    # when the node is an arrow
+    stack = [((), e, 0)]
+    while stack:
+        pos, x, above = stack.pop()
+        here = above + 1 if isinstance(x, Arrow) else above
+        if kind == "dept":
             if here > n and _dept_matches(x, restricted):
                 out.append(pos)
-        return out
-    return [
-        pos
-        for pos, sub in subexpressions(e)
-        if _matches(rule.kind, sub, restricted)
-    ]
+        elif _matches(kind, x, restricted):
+            out.append(pos)
+        if isinstance(x, Arrow):
+            stack.append((pos + (ARROW_TARGET,), x.target, here))
+            stack.append((pos + (ARROW_SOURCE,), x.source, here))
+        elif isinstance(x, Meet):
+            stack.append((pos + (MEET_RIGHT,), x.right, here))
+            stack.append((pos + (MEET_LEFT,), x.left, here))
+    return out
 
 
 def _rewrite_once(rule: Rule, sub: Expr) -> Expr:

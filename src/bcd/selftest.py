@@ -152,10 +152,7 @@ def criterion_oracle_agreement(
             a, b = universe[i], universe[j]
             if cache.equiv(a, b):
                 true_pairs += 1
-                verdict = convertible_bounded(a, b, budget=200, memo=pruned)
-                if verdict is not Verdict.CONFIRMED:
-                    verdict = convertible_bounded(a, b, budget=budget_true, memo=pruned)
-                if verdict is not Verdict.CONFIRMED:
+                if convertible_bounded(a, b, budget=budget_true, memo=pruned) is not Verdict.CONFIRMED:
                     disagreements.append(("equiv but not confirmed", a, b))
             else:
                 if convertible_bounded(a, b, budget=budget_false, memo=pruned) is Verdict.CONFIRMED:

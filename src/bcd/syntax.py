@@ -18,6 +18,12 @@ on one occurrence of a subtree serves every occurrence.  The intern table
 keys children by id() and holds nodes weakly, so it keeps nothing alive.
 Hash order thus follows allocation order; output is ordered by rendering.
 
+parse and render each run one loop over an explicit stack, so no nesting
+depth reaches the recursion limit.  render caches its text on the node it
+was asked for and on no subterm: rendering a chain keeps one string, not
+one per suffix, so its memory stays linear in the text.  A subterm that was
+itself rendered earlier lends its cached text whole.
+
 All values are immutable after construction and every operation here is pure,
 so the module is safe for unsynchronized concurrent use.  Interning is too: a
 table entry is added only where none exists and removed only once its node is
@@ -27,6 +33,7 @@ dead, so racing constructors of one structure all get the same node.
 from __future__ import annotations
 
 import json
+import re
 import weakref
 from enum import Enum
 from typing import Union
@@ -177,130 +184,109 @@ class Polarity(Enum):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_ATOM_HEAD = set("abcdefghijklmnopqrstuvwxyz")
-_ATOM_TAIL = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_TOKEN = re.compile(r"->|[&()@]|[a-z][a-zA-Z0-9_]*")
+# The first character that no token starts or continues: a word character
+# that does not follow one and is no lowercase letter starts no atom, and a
+# '-' or '>' that is not half of "->" starts or continues no arrow.  Each
+# branch starts by matching its character, which lets re skip ahead fast.
+_LEXICAL_ERROR = re.compile(r"[^ \t\r\n&()@\w>-]|[A-Z0-9_](?<!\w\w)|-(?!>)|>(?<!->)", re.ASCII)
 
 
-def _tokenize(text: str) -> list:
-    """Return (kind, value, offset) triples; kinds: atom, arrow, meet, lparen, rparen, end."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == "@":
-            toks.append(("atom", "@", i))
-            i += 1
-        elif c in _ATOM_HEAD:
-            j = i + 1
-            while j < n and text[j] in _ATOM_TAIL:
-                j += 1
-            toks.append(("atom", text[i:j], i))
-            i = j
-        elif c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(("arrow", "->", i))
-                i += 2
-            else:
-                raise ParseError("stray '-'", i, ("'->'",))
-        elif c == "&":
-            toks.append(("meet", "&", i))
-            i += 1
-        elif c == "(":
-            toks.append(("lparen", "(", i))
-            i += 1
-        elif c == ")":
-            toks.append(("rparen", ")", i))
-            i += 1
-        else:
-            raise ParseError(
-                f"unexpected character {c!r}", i, ("atom", "'('", "'->'", "'&'")
-            )
-    toks.append(("end", "", n))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> tuple:
-        return self.toks[self.i]
-
-    def advance(self) -> tuple:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def arrow(self) -> Expr:
-        left = self.meet()
-        if self.peek()[0] == "arrow":
-            self.advance()
-            return Arrow(left, self.arrow())
-        return left
-
-    def meet(self) -> Expr:
-        e = self.prim()
-        while self.peek()[0] == "meet":
-            self.advance()
-            e = Meet(e, self.prim())
-        return e
-
-    def prim(self) -> Expr:
-        kind, value, offset = self.peek()
-        if kind == "atom":
-            self.advance()
-            return Atom(value)
-        if kind == "lparen":
-            self.advance()
-            e = self.arrow()
-            kind2, _, offset2 = self.peek()
-            if kind2 != "rparen":
-                raise ParseError("unclosed parenthesis", offset2, ("')'",))
-            self.advance()
-            return e
-        raise ParseError("expected an expression", offset, ("atom", "'('"))
+def _offset(text: str, k: int) -> int:
+    """Offset of token k, or of the end of input for k past the last token."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return m.start()
+    return len(text)
 
 
 def parse(text: str) -> Expr:
-    """Parse the ascii grammar; raises ParseError with offset and expected set."""
-    p = _Parser(_tokenize(text))
-    e = p.arrow()
-    kind, _, offset = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input", offset, ("end of input",))
-    return e
+    """Parse the ascii grammar; raises ParseError with offset and expected set.
+
+    One loop over the tokens, with an explicit stack of the open parenthesis
+    groups, so the nesting depth costs no Python frames.  A group holds the
+    arrow sources read so far and the meet being read.
+    """
+    bad = _LEXICAL_ERROR.search(text)
+    if bad is not None:
+        i = bad.start()
+        if text[i] == "-":
+            raise ParseError("stray '-'", i, ("'->'",))
+        raise ParseError(f"unexpected character {text[i]!r}", i, ("atom", "'('", "'->'", "'&'"))
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input
+    groups = []  # the enclosing groups' (sources, meet)
+    sources, meet = [], None
+    k = 0
+    while True:
+        tok = toks[k]
+        k += 1
+        if tok == "(":
+            groups.append((sources, meet))
+            sources, meet = [], None
+            continue
+        if tok in ("", "->", "&", ")"):
+            raise ParseError("expected an expression", _offset(text, k - 1), ("atom", "'('"))
+        x = Atom(tok)
+        while True:  # x is a complete primary; close the groups it completes
+            meet = x if meet is None else Meet(meet, x)
+            tok = toks[k]
+            if tok == "&" or tok == "->":
+                k += 1
+                if tok == "->":
+                    sources.append(meet)
+                    meet = None
+                break
+            x = meet
+            for s in reversed(sources):
+                x = Arrow(s, x)
+            if not groups:
+                if tok:
+                    raise ParseError("trailing input", _offset(text, k), ("end of input",))
+                return x
+            if tok != ")":
+                raise ParseError("unclosed parenthesis", _offset(text, k), ("')'",))
+            k += 1
+            sources, meet = groups.pop()
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _body(e: Expr) -> str:
-    # Un-parenthesized rendering, cached on the node; parenthesization is a
-    # purely local decision made by _wrap.
-    b = e.__dict__.get("_body")
-    if b is None:
-        if isinstance(e, Atom):
-            b = e.name
-        elif isinstance(e, Arrow):
-            b = _wrap(e.source, "arrow_source") + " -> " + _wrap(e.target, "top")
+def _text(e: Expr) -> str:
+    """The ascii text of e, by one loop over an explicit stack of nodes and
+    of the strings between them.  A subterm whose text is cached is copied
+    whole; nothing is cached here."""
+    pieces = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            pieces.append(x)
+        elif x.__class__ is Atom:
+            pieces.append(x.name)
+        elif (cached := getattr(x, "_text", None)) is not None:
+            pieces.append(cached)
+        elif x.__class__ is Arrow:
+            s = x.source
+            stack.append(x.target)
+            stack.append(" -> ")
+            if s.__class__ is Arrow:
+                stack += (")", s, "(")
+            else:
+                stack.append(s)
         else:
-            b = _wrap(e.left, "meet_left") + " & " + _wrap(e.right, "meet_right")
-        object.__setattr__(e, "_body", b)
-    return b
-
-
-def _wrap(e: Expr, ctx: str) -> str:
-    # ctx is one of "top", "arrow_source", "meet_left", "meet_right"; arrow
-    # targets behave like "top" because -> is right associative.
-    b = _body(e)
-    if isinstance(e, Arrow) and ctx != "top":
-        return "(" + b + ")"
-    if isinstance(e, Meet) and ctx == "meet_right":
-        return "(" + b + ")"
-    return b
+            left, right = x.left, x.right
+            if right.__class__ is Atom:
+                stack.append(right)
+            else:
+                stack += (")", right, "(")
+            stack.append(" & ")
+            if left.__class__ is Arrow:
+                stack += (")", left, "(")
+            else:
+                stack.append(left)
+    return "".join(pieces)
 
 
 def to_json_obj(e: Expr) -> dict:
@@ -338,7 +324,11 @@ def render(e: Expr, format: str = "ascii") -> str:
     parse(render(e)) == e for every expression.
     """
     if format == "ascii":
-        return _body(e)
+        text = getattr(e, "_text", None)
+        if text is None:
+            text = _text(e)
+            object.__setattr__(e, "_text", text)
+        return text
     if format == "json":
         return json.dumps(to_json_obj(e))
     raise ValueError(f"unknown format {format!r}")

@@ -51,14 +51,27 @@ class TestCompare:
 
 
 class TestDeepInput:
-    @pytest.mark.parametrize("text", [DEEP_PARENS, LONG_CHAIN], ids=["parens", "chain"])
-    @pytest.mark.parametrize("verb", ["parse", "le", "eq"])
+    @pytest.mark.parametrize("text", [LONG_CHAIN], ids=["chain"])
+    @pytest.mark.parametrize("verb", ["le", "eq"])
     def test_refused_with_exit_3(self, capsys, verb, text):
-        argv = [verb, text] if verb == "parse" else [verb, text, "a"]
-        assert run(argv) == 3
+        assert run([verb, text, "a"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "limit exceeded: expression nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["parse", DEEP_PARENS], "a\n"),
+            (["parse", LONG_CHAIN], " -> ".join(["a"] * 25001) + "\n"),
+            (["le", DEEP_PARENS, "a"], "true\n"),
+            (["eq", DEEP_PARENS, "a"], "true\n"),
+        ],
+        ids=["parse-parens", "parse-chain", "le-parens", "eq-parens"],
+    )
+    def test_answered(self, capsys, argv, out):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestParseVerb:

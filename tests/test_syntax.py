@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -97,6 +98,229 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("a &")
         assert "atom" in info.value.expected
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the recursive-descent parser and the recursive renderer
+# that parse and render replaced, kept verbatim so that the fuzz pin below
+# compares the loops against the code they must agree with.
+
+_ATOM_HEAD = set("abcdefghijklmnopqrstuvwxyz")
+_ATOM_TAIL = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+
+
+def _tokenize(text: str) -> list:
+    """Return (kind, value, offset) triples; kinds: atom, arrow, meet, lparen, rparen, end."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == "@":
+            toks.append(("atom", "@", i))
+            i += 1
+        elif c in _ATOM_HEAD:
+            j = i + 1
+            while j < n and text[j] in _ATOM_TAIL:
+                j += 1
+            toks.append(("atom", text[i:j], i))
+            i = j
+        elif c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                toks.append(("arrow", "->", i))
+                i += 2
+            else:
+                raise ParseError("stray '-'", i, ("'->'",))
+        elif c == "&":
+            toks.append(("meet", "&", i))
+            i += 1
+        elif c == "(":
+            toks.append(("lparen", "(", i))
+            i += 1
+        elif c == ")":
+            toks.append(("rparen", ")", i))
+            i += 1
+        else:
+            raise ParseError(
+                f"unexpected character {c!r}", i, ("atom", "'('", "'->'", "'&'")
+            )
+    toks.append(("end", "", n))
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks: list):
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> tuple:
+        return self.toks[self.i]
+
+    def advance(self) -> tuple:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def arrow(self):
+        left = self.meet()
+        if self.peek()[0] == "arrow":
+            self.advance()
+            return Arrow(left, self.arrow())
+        return left
+
+    def meet(self):
+        e = self.prim()
+        while self.peek()[0] == "meet":
+            self.advance()
+            e = Meet(e, self.prim())
+        return e
+
+    def prim(self):
+        kind, value, offset = self.peek()
+        if kind == "atom":
+            self.advance()
+            return Atom(value)
+        if kind == "lparen":
+            self.advance()
+            e = self.arrow()
+            kind2, _, offset2 = self.peek()
+            if kind2 != "rparen":
+                raise ParseError("unclosed parenthesis", offset2, ("')'",))
+            self.advance()
+            return e
+        raise ParseError("expected an expression", offset, ("atom", "'('"))
+
+
+def _reference_parse(text: str):
+    """Parse the ascii grammar; raises ParseError with offset and expected set."""
+    p = _Parser(_tokenize(text))
+    e = p.arrow()
+    kind, _, offset = p.peek()
+    if kind != "end":
+        raise ParseError("trailing input", offset, ("end of input",))
+    return e
+
+
+def _body(e) -> str:
+    # Un-parenthesized rendering, cached on the node; parenthesization is a
+    # purely local decision made by _wrap.
+    b = e.__dict__.get("_body")
+    if b is None:
+        if isinstance(e, Atom):
+            b = e.name
+        elif isinstance(e, Arrow):
+            b = _wrap(e.source, "arrow_source") + " -> " + _wrap(e.target, "top")
+        else:
+            b = _wrap(e.left, "meet_left") + " & " + _wrap(e.right, "meet_right")
+        object.__setattr__(e, "_body", b)
+    return b
+
+
+def _wrap(e, ctx: str) -> str:
+    # ctx is one of "top", "arrow_source", "meet_left", "meet_right"; arrow
+    # targets behave like "top" because -> is right associative.
+    b = _body(e)
+    if isinstance(e, Arrow) and ctx != "top":
+        return "(" + b + ")"
+    if isinstance(e, Meet) and ctx == "meet_right":
+        return "(" + b + ")"
+    return b
+
+
+def _reference_render(e) -> str:
+    return _body(e)
+
+
+_SOUP = ("a", "b", "foo_1", "@", "->", "&", "(", ")", " ", "\t", "\n",
+         "-", ">", "A", "_", "9", "\u00e9", "\x0b")
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    """A rendered expression, a perturbed one, or random token soup."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return "".join(rng.choice(_SOUP) for _ in range(rng.randrange(12)))
+    text = render(random_expr(rng, rng.randrange(1, 24, 2), ("a", "b", "c", "@")))
+    if kind == 1:
+        for _ in range(rng.randrange(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            cut = rng.randrange(3)
+            text = text[:i] + rng.choice(_SOUP) * rng.randrange(2) + text[i + cut:]
+    return text
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+class TestAgainstReference:
+    def test_fuzzed_texts_match_the_recursive_descent(self):
+        rng = random.Random(8)
+        kinds = {}
+        for _ in range(50_000):
+            text = _fuzz_text(rng)
+            got, want = _outcome(parse, text), _outcome(_reference_parse, text)
+            if isinstance(want, tuple):
+                assert got == want, text
+                message = want[0].split(" at offset ")[0]
+                kinds[message] = kinds.get(message, 0) + 1
+            else:
+                assert got is want, text
+                assert render(got) == _reference_render(got)
+                kinds["ok"] = kinds.get("ok", 0) + 1
+        chars = ("-", ">", "A", "_", "9", "\u00e9", "\x0b")
+        assert "stray '-'" in kinds
+        for c in chars[1:]:
+            assert f"unexpected character {c!r}" in kinds
+        for message in ("trailing input", "unclosed parenthesis", "expected an expression", "ok"):
+            assert kinds[message] > 100
+        assert _outcome(parse, "") == _outcome(_reference_parse, "")
+
+    @given(big_expr_strategy())
+    def test_render_matches_the_recursive_renderer(self, e):
+        assert render(e) == _reference_render(e)
+
+
+class TestDeepInput:
+    """parse and render run in one loop each, so nesting costs no frames."""
+
+    @pytest.mark.parametrize(
+        "text,parsed",
+        [
+            ("(" * 100_000 + "a" + ")" * 100_000, "a"),
+            (" -> ".join(["a"] * 100_001), None),
+            ("(" * 99_999 + "a" + " -> a)" * 99_999 + " -> a", None),
+            ("a & (" * 99_999 + "a & a" + ")" * 99_999, None),
+        ],
+        ids=["parens", "chain", "source-chain", "right-meets"],
+    )
+    def test_round_trip_at_a_low_recursion_limit(self, text, parsed):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            e = parse(text)
+            rendered = render(e)
+            assert rendered == (text if parsed is None else parsed)
+            assert parse(rendered) is e
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_rendering_a_chain_keeps_no_subterm_text(self):
+        e = Atom("render_memory")
+        for _ in range(3000):
+            e = Arrow(Atom("render_memory"), e)
+        tracemalloc.start()
+        try:
+            text = render(e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 3000 * len(" -> render_memory") + len("render_memory")
+        assert peak < 1_000_000
 
 
 class TestRender:
