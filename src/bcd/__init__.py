@@ -3,6 +3,7 @@ subtype decision procedure, and finite depth-truncation models."""
 
 from .decide import (
     DecisionCache,
+    LimitExceeded,
     SubtypeMatrix,
     equiv,
     explain,
@@ -11,7 +12,6 @@ from .decide import (
 )
 from .factors import Factor, factor_to_expr, factors
 from .model import (
-    LimitExceeded,
     Model,
     StackOfTwos,
     UnknownAtom,

@@ -17,9 +17,9 @@ import sys
 import time
 
 from .bench import fitted_exponent, scaling_run
-from .decide import DecisionCache, subtype_matrix
+from .decide import DecisionCache, LimitExceeded, subtype_matrix
 from .factors import factor_to_expr, sorted_factors
-from .model import LimitExceeded, UnknownAtom, build_model, satisfies_eq, stack_of_twos
+from .model import UnknownAtom, build_model, satisfies_eq, stack_of_twos
 from .rewrite import dept_normal_form, dist_normal_form, slat_canonical
 from .selftest import run_criteria
 from .syntax import ParseError, parse, render, to_json_obj

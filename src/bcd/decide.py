@@ -8,13 +8,12 @@ subexpressions, and it needs no prior normalization since the factor
 recursion already distributes arrows over meets.
 
 Two implementations are provided: a memoized recursion on subexpression pairs
-(the workhorse) and an explicit Boolean matrix over the DFS-numbered
-subexpressions of a root, filled in decreasing order of index sum so that
-every factor-argument lookup is already available.  Both read their factor
-sets from the one factor recursion, factors.factors; the matrix's fill is its
-own matching loop, so it stays an independent check on the recursion, and
-the two agree pointwise.  Explanations are produced by the recursion's cache
-and reach every decision through DecisionCache.subseteq.
+(the workhorse), whose cache also builds explanations, and an explicit
+Boolean matrix over the subexpressions of a root, filled once per pair of
+distinct subexpressions in decreasing order of index sum; repeated
+subexpressions share one row.  Both read their factor sets from
+factors.factors; the matrix's fill is its own matching loop, so it stays an
+independent check on the recursion.
 
 "@" receives no special treatment here.
 
@@ -28,6 +27,12 @@ from dataclasses import dataclass
 
 from .factors import factor_to_expr, factors, sorted_factors
 from .syntax import Arrow, Expr, Meet, render
+
+MATRIX_CAP_BYTES = 10**8
+
+
+class LimitExceeded(RuntimeError):
+    """A computation would exceed one of the package's fixed size caps."""
 
 
 class DecisionCache:
@@ -131,7 +136,8 @@ class SubtypeMatrix:
     """Square Boolean matrix over the DFS-numbered subexpressions of a root.
 
     bits[i][j] is 1 exactly when subexpression i is below subexpression j;
-    the diagonal is reflexive and the relation is transitive.
+    the diagonal is reflexive and the relation is transitive.  Occurrences
+    of one subexpression share one row object.
     """
 
     exprs: tuple
@@ -146,14 +152,19 @@ class SubtypeMatrix:
 
 
 def numbered_factors(root: Expr):
-    """Preorder subexpression list plus per-node factor sets whose arguments
-    are expressed as node indices.
+    """Class list plus per-class factor sets whose arguments are class numbers.
 
-    A factor argument is numbered by the last preorder index of its
-    structural class.  That index is always strictly larger than the node's
-    own index, which is what lets the matrix fill entries in decreasing order
-    of index sum.
+    A class is a distinct subexpression, numbered in order of its last
+    preorder occurrence.  Each occurrence of a node contains its factor
+    arguments after it, so an argument's number exceeds its node's: that is
+    what lets the matrix fill entries in decreasing order of index sum.
     """
+    _, number, facts = _numbering(root)
+    return list(number), facts
+
+
+def _numbering(root: Expr):
+    """numbered_factors plus the preorder list; checks MATRIX_CAP_BYTES first."""
     exprs = []
     stack = [root]
     while stack:
@@ -163,59 +174,47 @@ def numbered_factors(root: Expr):
             stack += (e.target, e.source)
         elif isinstance(e, Meet):
             stack += (e.right, e.left)
-    last = {x: i for i, x in enumerate(exprs)}
+    number = {x: c for c, x in enumerate(reversed(dict.fromkeys(reversed(exprs))))}
+    need = len(number) * (len(number) + len(exprs))
+    if need > MATRIX_CAP_BYTES:
+        raise LimitExceeded(f"subtype matrix needs {need} bytes; the cap is {MATRIX_CAP_BYTES}")
     memo = {}
-    for e in reversed(exprs):  # children first, so each call recurses one level
+    for e in reversed(number):  # children first, so each call recurses one level
         factors(e, memo)
     facts = [
-        frozenset((f.head, tuple(last[x] for x in f.args)) for f in memo[e]) for e in exprs
+        frozenset((f.head, tuple(number[x] for x in f.args)) for f in memo[e]) for e in number
     ]
     for idx, fs in enumerate(facts):
         for _, args in fs:
             assert all(k > idx for k in args), "factor argument below its node"
-    return exprs, facts
+    return exprs, number, facts
 
 
 def subtype_matrix(root: Expr) -> SubtypeMatrix:
     """Fill the full subexpression-pair matrix of the root.
 
-    Entries are computed in decreasing order of index sum i+j, each decided
-    by factor matching over already-filled deeper pairs.  A pair of repeated
-    subexpressions is decided once, at the last preorder occurrence of each
-    (the largest index sum), and copied from there.  Agrees pointwise with
-    subseteq on every pair.
+    Entries are computed over the k classes of numbered_factors in decreasing
+    order of index sum i+j, each decided by factor matching over already-filled
+    deeper pairs, and each class row is expanded once to the preorder row its
+    occurrences share: k*k + k*n bytes for n nodes, refused with LimitExceeded
+    above MATRIX_CAP_BYTES.  Agrees pointwise with subseteq on every pair.
     """
-    exprs, facts = numbered_factors(root)
-    n = len(exprs)
-
-    grouped = []
-    keysets = []
-    for fs in facts:
-        g = {}
+    exprs, number, facts = _numbering(root)
+    k = len(number)
+    grouped = [{} for _ in facts]
+    for g, fs in zip(grouped, facts):
         for head, args in fs:
             g.setdefault((head, len(args)), []).append(args)
-        grouped.append(g)
-        keysets.append(frozenset(g))
-
-    index = {x: i for i, x in enumerate(exprs)}
-    last = [index[x] for x in exprs]
-
-    rows = [bytearray(n) for _ in range(n)]
-    for s in range(2 * n - 2, -1, -1):
-        for i in range(max(0, s - n + 1), min(n - 1, s) + 1):
+    keysets = [frozenset(g) for g in grouped]
+    rows = [bytearray(k) for _ in range(k)]
+    for s in range(2 * k - 2, -1, -1):
+        for i in range(max(0, s - k + 1), min(k - 1, s) + 1):
             j = s - i
-            li, lj = last[i], last[j]
-            if li + lj > s:
-                # the pair's last occurrence has a larger index sum: filled already
-                v = rows[li][lj]
-            elif exprs[i] is exprs[j]:
-                v = 1
-            elif not keysets[j] <= keysets[i]:
-                v = 0
-            else:
-                v = _matrix_entry(grouped[i], grouped[j], rows)
-            rows[i][j] = v
-    return SubtypeMatrix(tuple(exprs), tuple(bytes(r) for r in rows))
+            if keysets[j] <= keysets[i] and _matrix_entry(grouped[i], grouped[j], rows):
+                rows[i][j] = 1
+    cls = [number[x] for x in exprs]
+    shared = [bytes(map(row.__getitem__, cls)) for row in rows]
+    return SubtypeMatrix(tuple(exprs), tuple(shared[c] for c in cls))
 
 
 def _matrix_entry(gi: dict, gj: dict, rows) -> int:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decide import DecisionCache, equiv
+from .decide import DecisionCache, LimitExceeded, equiv
 from .factors import factor_to_expr, factors
 from .rewrite import INFINITE_DEPTH, dept_normal_form, meet_of
 from .syntax import TRUNCATION_ATOM, Arrow, Atom, Expr, Meet, atoms_of, render
@@ -53,10 +53,6 @@ _OVERFLOW_CAP = 1_000_000
 
 class UnknownAtom(ValueError):
     """An expression uses an atom the model does not carry."""
-
-
-class LimitExceeded(RuntimeError):
-    """Enumeration would exceed the configured desk-scale caps."""
 
 
 def stack_of_twos(n: int, m: int) -> int:

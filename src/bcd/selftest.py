@@ -37,7 +37,7 @@ from .rewrite import (
     redexes,
     slat_canonical,
 )
-from .syntax import Arrow, Expr, Meet, arrow_depth, node_count, subexpressions
+from .syntax import Arrow, Expr, Meet, arrow_depth, node_count, parse, render, subexpressions
 
 
 def criterion_law_suite(samples: int = 1000, max_nodes: int = 30, seed: int = 101):
@@ -451,13 +451,22 @@ def criterion_scaling(
 
 
 def criterion_matrix_agreement(roots: int = 100, max_nodes: int = 80, seed: int = 111):
-    """The matrix agrees pointwise with the memoized recursion."""
+    """The matrix agrees pointwise with the memoized recursion, on random roots
+    and on 5 meets of separately parsed copies of a few subtrees, whose
+    repeated subterms share matrix rows."""
     rng = random.Random(seed)
     atoms = ("a", "b", "c")
+    exprs = [random_expr(rng, rng.randint(1, max_nodes), atoms) for _ in range(roots)]
+    for _ in range(5):
+        texts = [render(random_expr(rng, rng.randint(5, 15), atoms)) for _ in range(3)]
+        copies = [parse(texts[k % 3]) for k in range(12)]
+        root = copies[0]
+        for e in copies[1:] + [Arrow(copies[k], copies[k + 4]) for k in range(0, 8, 3)]:
+            root = Meet(root, e)
+        exprs.append(root)
     mismatches = 0
     entries = 0
-    for _ in range(roots):
-        root = random_expr(rng, rng.randint(1, max_nodes), atoms)
+    for root in exprs:
         matrix = subtype_matrix(root)
         cache = DecisionCache()
         n = matrix.size
@@ -466,7 +475,8 @@ def criterion_matrix_agreement(roots: int = 100, max_nodes: int = 80, seed: int 
                 entries += 1
                 if matrix.holds(i, j) != cache.subseteq(matrix.exprs[i], matrix.exprs[j]):
                     mismatches += 1
-    return mismatches == 0, f"{roots} roots, {entries} entries, {mismatches} mismatches"
+    detail = f"{roots} random and 5 shared-copy roots, {entries} entries"
+    return mismatches == 0, f"{detail}, {mismatches} mismatches"
 
 
 FULL_SCALE = [

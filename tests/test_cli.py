@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from bcd.cli import run
+from bcd.decide import MATRIX_CAP_BYTES
 from bcd.selftest import FULL_SCALE
 
 DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
@@ -188,6 +190,24 @@ class TestBench:
         assert run(["bench", "--stdin", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [r["nodes"] for r in obj["results"]] == [5, 3]
+
+    def test_stdin_over_the_matrix_cap(self, capsys, monkeypatch):
+        import io
+
+        line = " & ".join(["a"] * 50_001)  # 100,001 nodes
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        tracemalloc.start()
+        try:
+            assert run(["bench", "--stdin"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == ""
+        assert peak < MATRIX_CAP_BYTES
+
+    def test_sizes_over_the_matrix_cap(self, capsys):
+        assert run(["bench", "--sizes", "200000"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestSelftest:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 
 from bcd.decide import (
     DecisionCache,
+    SubtypeMatrix,
     equiv,
     explain,
     numbered_factors,
     subseteq,
     subtype_matrix,
 )
-from bcd.factors import factor_to_expr, sorted_factors
+from bcd.factors import factor_to_expr, factors, sorted_factors
 from bcd.gen import all_exprs, random_expr, witness_pool
 from bcd.rewrite import (
     ASSO,
@@ -230,6 +231,150 @@ class TestSubtypeMatrix:
             tracemalloc.stop()
         assert m.size == 1601
         assert peak < 4 * m.size**2
+
+
+# The preorder-pair fill that subtype_matrix replaced, copied verbatim: one
+# iteration per preorder pair, a repeated pair copied from its last occurrence.
+
+
+def _reference_numbered_factors(root):
+    """Preorder subexpression list plus per-node factor sets whose arguments
+    are expressed as node indices.
+
+    A factor argument is numbered by the last preorder index of its
+    structural class.  That index is always strictly larger than the node's
+    own index, which is what lets the matrix fill entries in decreasing order
+    of index sum.
+    """
+    exprs = []
+    stack = [root]
+    while stack:
+        e = stack.pop()
+        exprs.append(e)
+        if isinstance(e, Arrow):
+            stack += (e.target, e.source)
+        elif isinstance(e, Meet):
+            stack += (e.right, e.left)
+    last = {x: i for i, x in enumerate(exprs)}
+    memo = {}
+    for e in reversed(exprs):  # children first, so each call recurses one level
+        factors(e, memo)
+    facts = [
+        frozenset((f.head, tuple(last[x] for x in f.args)) for f in memo[e]) for e in exprs
+    ]
+    for idx, fs in enumerate(facts):
+        for _, args in fs:
+            assert all(k > idx for k in args), "factor argument below its node"
+    return exprs, facts
+
+
+def _reference_subtype_matrix(root):
+    """Fill the full subexpression-pair matrix of the root.
+
+    Entries are computed in decreasing order of index sum i+j, each decided
+    by factor matching over already-filled deeper pairs.  A pair of repeated
+    subexpressions is decided once, at the last preorder occurrence of each
+    (the largest index sum), and copied from there.  Agrees pointwise with
+    subseteq on every pair.
+    """
+    exprs, facts = _reference_numbered_factors(root)
+    n = len(exprs)
+
+    grouped = []
+    keysets = []
+    for fs in facts:
+        g = {}
+        for head, args in fs:
+            g.setdefault((head, len(args)), []).append(args)
+        grouped.append(g)
+        keysets.append(frozenset(g))
+
+    index = {x: i for i, x in enumerate(exprs)}
+    last = [index[x] for x in exprs]
+
+    rows = [bytearray(n) for _ in range(n)]
+    for s in range(2 * n - 2, -1, -1):
+        for i in range(max(0, s - n + 1), min(n - 1, s) + 1):
+            j = s - i
+            li, lj = last[i], last[j]
+            if li + lj > s:
+                # the pair's last occurrence has a larger index sum: filled already
+                v = rows[li][lj]
+            elif exprs[i] is exprs[j]:
+                v = 1
+            elif not keysets[j] <= keysets[i]:
+                v = 0
+            else:
+                v = _reference_matrix_entry(grouped[i], grouped[j], rows)
+            rows[i][j] = v
+    return SubtypeMatrix(tuple(exprs), tuple(bytes(r) for r in rows))
+
+
+def _reference_matrix_entry(gi: dict, gj: dict, rows) -> int:
+    for ha, blists in gj.items():
+        alist = gi[ha]
+        for bargs in blists:
+            ok = False
+            for aargs in alist:
+                matched = True
+                for k in range(len(bargs)):
+                    if not rows[bargs[k]][aargs[k]]:
+                        matched = False
+                        break
+                if matched:
+                    ok = True
+                    break
+            if not ok:
+                return 0
+    return 1
+
+
+def _repeated_copies_root():
+    rng = random.Random(34)
+    texts = [render(random_expr(rng, 11)) for _ in range(3)]
+    copies = [parse(texts[k % 3]) for k in range(30)]
+    arrows = [Arrow(copies[k], copies[k + 4]) for k in range(0, 24, 3)]
+    root = copies[0]
+    for e in copies[1:] + arrows:
+        root = Meet(root, e)
+    return root
+
+
+class TestSubtypeMatrixMatchesReference:
+    def _pin(self, root):
+        m = subtype_matrix(root)
+        assert m == _reference_subtype_matrix(root)
+        # occurrences of one subexpression share one row object
+        row_of = {}
+        for x, row in zip(m.exprs, m.bits):
+            assert row_of.setdefault(x, row) is row
+
+    def test_single_atom(self):
+        self._pin(P)
+
+    def test_random_roots(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            self._pin(random_expr(rng, rng.randint(1, 120)))
+
+    def test_repeated_copies(self):
+        self._pin(_repeated_copies_root())
+
+    def test_kilonode_root(self):
+        self._pin(random_expr(random.Random(1601), 1601))
+
+    def test_fill_memory_is_below_one_byte_per_entry(self):
+        # k*k + k*n bytes of rows for k distinct subterms; the preorder-pair
+        # fill needed two n*n tables
+        root = random_expr(random.Random(1601), 1601)
+        tracemalloc.start()
+        try:
+            m = subtype_matrix(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.size == 1601
+        assert peak < m.size**2
 
 
 class TestExplain:
