@@ -17,6 +17,10 @@ structure, so == and hash are identity, O(1) at any depth, and a cache filled
 on one occurrence of a subtree serves every occurrence.  The intern table
 keys children by id() and holds nodes weakly, so it keeps nothing alive.
 Hash order thus follows allocation order; output is ordered by rendering.
+The constructors, and parse for each meet and arrow it closes, look the
+live node up inline, so a hit costs no further Python frame.  A miss fills
+the new node's slots through their member descriptors, past the immutable
+__setattr__, and enters it through the one publish routine, _publish.
 
 parse and render each run one loop over an explicit stack, so no nesting
 depth reaches the recursion limit.  render caches its text on the node it
@@ -71,7 +75,8 @@ class InvalidPosition(ValueError):
 # Interned nodes
 
 _table: dict = {}  # (class, name or child ids) -> _Ref to the live node
-_set = object.__setattr__
+_get = _table.get
+_new = object.__new__
 
 
 class _Ref(weakref.ref):
@@ -84,15 +89,8 @@ def _forget(ref, _table=_table, _remove=_remove_dead_weakref):
     _remove(_table, ref.key)
 
 
-def _intern(cls, key: tuple, fields: tuple) -> "Expr":
-    ref = _table.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, fields):
-        _set(node, slot, value)
+def _publish(key: tuple, node: "Expr") -> "Expr":
+    """Enter a freshly built node under key; return the node that holds it."""
     mine = _Ref(node, _forget)
     mine.key = key
     while True:  # a live entry never changes; a dead one is dropped, then retried
@@ -100,6 +98,16 @@ def _intern(cls, key: tuple, fields: tuple) -> "Expr":
         if winner is not None:
             return winner
         _remove_dead_weakref(_table, key)
+
+
+def _miss(key: tuple, x: "Expr", y: "Expr") -> "Expr":
+    """The node of an arrow or meet key that has no live entry."""
+    cls = key[0]
+    node = _new(cls)
+    set_x, set_y = _SETTERS[cls]
+    set_x(node, x)
+    set_y(node, y)
+    return _publish(key, node)
 
 
 class _Node:
@@ -130,22 +138,39 @@ class Atom(_Node):
     def __new__(cls, name: str):
         if not name:
             raise ValueError("atom name must be nonempty")
-        return _intern(cls, (cls, name), (name,))
+        key = (cls, name)
+        ref = _get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = _new(cls)
+            _set_name(node, name)
+            node = _publish(key, node)
+        return node
 
 
 class Arrow(_Node):
     __slots__ = ("source", "target")
 
     def __new__(cls, source: "Expr", target: "Expr"):
-        return _intern(cls, (cls, id(source), id(target)), (source, target))
+        key = (cls, id(source), id(target))
+        ref = _get(key)
+        node = None if ref is None else ref()
+        return _miss(key, source, target) if node is None else node
 
 
 class Meet(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: "Expr", right: "Expr"):
-        return _intern(cls, (cls, id(left), id(right)), (left, right))
+        key = (cls, id(left), id(right))
+        ref = _get(key)
+        node = None if ref is None else ref()
+        return _miss(key, left, right) if node is None else node
 
+
+# The slots' member descriptors set a field past _Node.__setattr__.
+_set_name = Atom.name.__set__
+_SETTERS = {cls: tuple(getattr(cls, f).__set__ for f in cls.__slots__) for cls in (Arrow, Meet)}
 
 Expr = Union[Atom, Arrow, Meet]
 
@@ -205,7 +230,9 @@ def parse(text: str) -> Expr:
 
     One loop over the tokens, with an explicit stack of the open parenthesis
     groups, so the nesting depth costs no Python frames.  A group holds the
-    arrow sources read so far and the meet being read.
+    arrow sources read so far and the meet being read.  Each meet and arrow
+    is looked up in the intern table here, as its constructor would, and the
+    call's atoms are kept by token, so a live subterm costs no Python call.
     """
     bad = _LEXICAL_ERROR.search(text)
     if bad is not None:
@@ -215,21 +242,30 @@ def parse(text: str) -> Expr:
         raise ParseError(f"unexpected character {text[i]!r}", i, ("atom", "'('", "'->'", "'&'"))
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input
+    atoms = {}  # token -> Atom, for this call only
     groups = []  # the enclosing groups' (sources, meet)
     sources, meet = [], None
     k = 0
     while True:
         tok = toks[k]
         k += 1
-        if tok == "(":
-            groups.append((sources, meet))
-            sources, meet = [], None
-            continue
-        if tok in ("", "->", "&", ")"):
-            raise ParseError("expected an expression", _offset(text, k - 1), ("atom", "'('"))
-        x = Atom(tok)
+        x = atoms.get(tok)
+        if x is None:
+            if tok == "(":
+                groups.append((sources, meet))
+                sources, meet = [], None
+                continue
+            if tok in ("", "->", "&", ")"):
+                raise ParseError("expected an expression", _offset(text, k - 1), ("atom", "'('"))
+            x = atoms[tok] = Atom(tok)
         while True:  # x is a complete primary; close the groups it completes
-            meet = x if meet is None else Meet(meet, x)
+            if meet is None:
+                meet = x
+            else:
+                key = (Meet, id(meet), id(x))
+                ref = _get(key)
+                node = None if ref is None else ref()
+                meet = _miss(key, meet, x) if node is None else node
             tok = toks[k]
             if tok == "&" or tok == "->":
                 k += 1
@@ -239,7 +275,10 @@ def parse(text: str) -> Expr:
                 break
             x = meet
             for s in reversed(sources):
-                x = Arrow(s, x)
+                key = (Arrow, id(s), id(x))
+                ref = _get(key)
+                node = None if ref is None else ref()
+                x = _miss(key, s, x) if node is None else node
             if not groups:
                 if tok:
                     raise ParseError("trailing input", _offset(text, k), ("end of input",))

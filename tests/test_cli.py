@@ -246,6 +246,37 @@ class TestHashSeedIndependence:
         assert outs[0] == outs[1]
 
 
+# Interning keys nodes by id(), so hash and allocation order differ from run
+# to run; what the CLI prints must not.
+DETERMINISM_ARGVS = [
+    ["model", "--atoms", "@,p", "--depth", "1", "--tables", "--json"],
+    ["model", "--atoms", "@", "--depth", "2", "--max-depth", "2", "--tables", "--json"],
+    ["eq", "(c->a)&(c->b)", "c->(a&b)", "--explain", "--json"],
+    ["factors", "--json", "(c -> (b & a) & (a -> c)) & (b -> a & c) & (a & b -> c)"],
+    ["nf", "--kind", "slat", "(b -> a) & (a & c -> b) & c & (b -> a) & (c -> a & b) & a"],
+]
+
+
+class TestDeterminismAcrossHashSeeds:
+    @pytest.mark.parametrize(
+        "argv", DETERMINISM_ARGVS, ids=["model-at_p-d1", "model-at-d2", "eq", "factors", "nf"]
+    )
+    def test_stdout_is_byte_identical_under_three_seeds(self, argv):
+        outs = []
+        for seed in ("0", "1", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "bcd.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0]
+        assert outs[0] == outs[1] == outs[2]
+
+
 class TestUsage:
     def test_no_verb(self):
         assert run([]) == 2

@@ -627,6 +627,95 @@ class TestInterning:
             assert all(x is built[0] for x in built)
         assert len({id(x) for x in results[0]}) == len(set(trees))
 
+    def test_racing_parsers_get_one_object_per_structure(self):
+        rng = random.Random(12)
+        trees = [_tree(rng, rng.randrange(1, 60, 2), ("prace_a", "prace_b")) for _ in range(500)]
+        texts = [_tree_text(t) for t in trees]
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(k):
+            barrier.wait(timeout=60)
+            results[k] = [parse(text) for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for parsed in zip(*results):
+            assert all(x is parsed[0] for x in parsed)
+        assert len({id(x) for x in results[0]}) == len(set(trees))
+        assert all(x is _build(t) for x, t in zip(results[0], trees))
+
+    def test_parse_replaces_a_dead_meet_entry(self):
+        a, b = Atom("pdead_a"), Atom("pdead_b")
+        key = (Meet, id(a), id(b))
+        gone = _Gone()
+        syntax._table[key] = weakref.ref(gone)
+        del gone
+        m = parse("pdead_a & pdead_b")
+        assert m.left is a and m.right is b
+        assert syntax._table[key]() is m
+        assert Meet(a, b) is m
+
+    def test_parsed_expression_dies_and_leaves_the_table_as_it_was(self):
+        rng = random.Random(13)
+        text = _tree_text(_tree(rng, 20_001, ("pweak_a", "pweak_b", "pweak_c")))
+        gc.collect()
+        before = len(syntax._table)
+        e = parse(text)
+        assert node_count(e) == 20_001
+        refs = [weakref.ref(x) for _, x in subexpressions(e)]
+        del e
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
+        assert len(syntax._table) == before
+
+    @pytest.mark.parametrize("first", ["parse", "build"])
+    def test_one_publication_per_new_subterm(self, monkeypatch, first):
+        published = []
+        publish = syntax._publish
+
+        def counting(key, node):
+            published.append(key)
+            return publish(key, node)
+
+        monkeypatch.setattr(syntax, "_publish", counting)
+        atoms = tuple(f"{first}_count_{c}" for c in "abc")
+        tree = _tree(random.Random(14), 301, atoms)
+        text = _tree_text(tree)
+        e = parse(text) if first == "parse" else _build(tree)
+        assert len(published) == len(_distinct_subtrees(tree))
+        published.clear()
+        assert parse(text) is e
+        assert _build(tree) is e
+        assert published == []
+
+
+def _tree_text(t) -> str:
+    if isinstance(t, str):
+        return t
+    kind, x, y = t
+    return f"({_tree_text(x)} {kind} {_tree_text(y)})"
+
+
+def _distinct_subtrees(t) -> set:
+    seen, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if not isinstance(x, str):
+                stack += x[1:]
+    return seen
+
 
 def _outputs(texts: list) -> list:
     out = []
