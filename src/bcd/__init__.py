@@ -1,71 +1,54 @@
 """Intersection types without a top element: syntax, rewriting, a polynomial
-subtype decision procedure, and finite depth-truncation models."""
+subtype decision procedure, and finite depth-truncation models.
 
-from .decide import (
-    DecisionCache,
-    LimitExceeded,
-    SubtypeMatrix,
-    equiv,
-    explain,
-    subseteq,
-    subtype_matrix,
-)
-from .factors import Factor, factor_to_expr, factors
-from .model import (
-    Model,
-    StackOfTwos,
-    UnknownAtom,
-    build_model,
-    satisfies_eq,
-    stack_of_twos,
-)
-from .rewrite import (
-    ASSO,
-    ASSO_INV,
-    COMM,
-    DIST,
-    IDEM,
-    INFINITE_DEPTH,
-    MissingParameter,
-    NotARedex,
-    Rule,
-    Trace,
-    TraceStep,
-    Verdict,
-    absp,
-    apply,
-    convertible_bounded,
-    dept,
-    dept_normal_form,
-    dist_normal_form,
-    meet_members,
-    meet_of,
-    redexes,
-    slat_canonical,
-)
-from .syntax import (
-    ARROW_SOURCE,
-    ARROW_TARGET,
-    MEET_LEFT,
-    MEET_RIGHT,
-    TRUNCATION_ATOM,
-    Arrow,
-    Atom,
-    Expr,
-    InvalidPosition,
-    Meet,
-    ParseError,
-    Polarity,
-    arrow_depth,
-    atoms_of,
-    ebb,
-    node_at,
-    node_count,
-    parse,
-    polarity,
-    render,
-    replace_at,
-    subexpressions,
-)
+Importing the package loads `bcd.syntax` and `bcd.factors` only.  Every other
+public name is looked up in `_EXPORTS` and loads its submodule on first use,
+so a `bcd le` process never compiles the rewriting, model or self-test code.
+"""
 
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("syntax", "ARROW_SOURCE ARROW_TARGET MEET_LEFT MEET_RIGHT TRUNCATION_ATOM "
+                   "Arrow Atom Expr InvalidPosition Meet ParseError Polarity arrow_depth "
+                   "atoms_of ebb node_at node_count parse polarity render replace_at "
+                   "subexpressions"),
+        ("factors", "Factor factor_to_expr factors"),
+        ("decide", "DecisionCache LimitExceeded SubtypeMatrix equiv explain subseteq "
+                   "subtype_matrix"),
+        ("model", "Model UnknownAtom build_model satisfies_eq stack_of_twos"),
+        ("rewrite", "ASSO ASSO_INV COMM DIST IDEM INFINITE_DEPTH MissingParameter NotARedex "
+                    "Rule Trace TraceStep Verdict absp apply convertible_bounded dept "
+                    "dept_normal_form dist_normal_form meet_members meet_of redexes "
+                    "slat_canonical"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # what `from .<module> import <name>` runs; unlike importlib.import_module
+    # it goes through the import statement's path, so -X importtime sees it
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value  # later lookups are plain global hits
+    return value
+
+
+def __dir__():
+    return sorted(__all__ + [n for n in globals() if n.startswith("__")])
+
+
+# The function `factors` shares its name with the submodule `bcd.factors`, and
+# the import system binds a submodule to the package attribute when it first
+# loads.  Loading `bcd.factors` here, before the function is bound, keeps a
+# later `import bcd.decide` (which loads it too) from replacing the function.
+for _name, _module in _EXPORTS.items():
+    if _module in ("syntax", "factors"):
+        __getattr__(_name)
+del _name, _module

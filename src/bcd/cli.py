@@ -7,6 +7,10 @@ prints any depth; deciding, factoring, normalizing and JSON conversion still
 recurse, and they raise the RecursionError that deep input turns into exit
 3.  --json switches output to a single JSON object on stdout; diagnostics go
 to stderr.
+
+Only syntax, factors and decide are imported here, which is all that `parse`,
+`factors`, `le` and `eq` run; `nf`, `sat`, `model`, `bench` and `selftest`
+import their own modules when called, so a call compiles no code it skips.
 """
 
 from __future__ import annotations
@@ -16,12 +20,8 @@ import json
 import sys
 import time
 
-from .bench import fitted_exponent, scaling_run
 from .decide import DecisionCache, LimitExceeded, subtype_matrix
 from .factors import factor_to_expr, sorted_factors
-from .model import UnknownAtom, build_model, satisfies_eq, stack_of_twos
-from .rewrite import dept_normal_form, dist_normal_form, slat_canonical
-from .selftest import run_criteria
 from .syntax import ParseError, parse, render, to_json_obj
 
 
@@ -39,6 +39,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_nf(args) -> int:
+    from .rewrite import dept_normal_form, dist_normal_form, slat_canonical
+
     e = parse(args.expr)
     if args.kind == "dist":
         result = dist_normal_form(e)
@@ -92,6 +94,8 @@ def _cmd_compare(args, want_equiv: bool) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .model import satisfies_eq
+
     a = parse(args.a)
     b = parse(args.b)
     holds = satisfies_eq(args.depth, a, b)
@@ -103,6 +107,8 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from .model import build_model, stack_of_twos
+
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
     caps = {
         cap: getattr(args, cap)
@@ -140,6 +146,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import fitted_exponent, scaling_run
+
     if args.stdin:
         results = []
         for line in sys.stdin:
@@ -172,6 +180,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_criteria
+
     ok = run_criteria(full=args.full)
     return 0 if ok else 1
 
@@ -262,7 +272,7 @@ def run(argv) -> int:
     except RecursionError:
         print("limit exceeded: expression nested too deeply", file=sys.stderr)
         return 3
-    except (UnknownAtom, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ threads, and behaves as if each query were evaluated in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factors import factor_to_expr, factors, sorted_factors
 from .syntax import Arrow, Expr, Meet, render
@@ -131,8 +131,7 @@ def explain(a: Expr, b: Expr) -> dict:
 # ---------------------------------------------------------------------------
 # Explicit matrix form
 
-@dataclass(frozen=True)
-class SubtypeMatrix:
+class SubtypeMatrix(NamedTuple):
     """Square Boolean matrix over the DFS-numbered subexpressions of a root.
 
     bits[i][j] is 1 exactly when subexpression i is below subexpression j;

@@ -74,17 +74,6 @@ def stack_of_twos(n: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class StackOfTwos:
-    n: int
-    m: int
-    value: int
-
-    @classmethod
-    def compute(cls, n: int, m: int) -> "StackOfTwos":
-        return cls(n, m, stack_of_twos(n, m))
-
-
-@dataclass(frozen=True)
 class Model:
     """Carrier of canonical representatives with meet and arrow tables."""
 

@@ -31,7 +31,6 @@ functions of the node alone.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -50,12 +49,10 @@ from .syntax import (
     Meet,
     Position,
     ebb,
-    from_json_obj,
     node_at,
     render,
     replace_at,
     subexpressions,
-    to_json_obj,
 )
 
 INFINITE_DEPTH = math.inf
@@ -261,38 +258,6 @@ class Trace:
             if cur is not step.result:
                 return False
         return True
-
-    def to_json(self) -> str:
-        steps = []
-        for step in self.steps:
-            obj = {
-                "rule": step.rule.kind,
-                "pos": list(step.position),
-                "result": to_json_obj(step.result),
-            }
-            if step.rule.absp_witness is not None:
-                obj["witness"] = to_json_obj(step.rule.absp_witness)
-            if step.rule.depth_param is not None:
-                obj["depth"] = (
-                    None if step.rule.depth_param == INFINITE_DEPTH
-                    else step.rule.depth_param
-                )
-            steps.append(obj)
-        return json.dumps({"start": to_json_obj(self.start), "steps": steps})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        obj = json.loads(text)
-        steps = []
-        for raw in obj["steps"]:
-            kind = raw["rule"]
-            witness = from_json_obj(raw["witness"]) if "witness" in raw else None
-            depth = None
-            if "depth" in raw:
-                depth = INFINITE_DEPTH if raw["depth"] is None else raw["depth"]
-            rule = Rule(kind, depth_param=depth, absp_witness=witness)
-            steps.append(TraceStep(rule, tuple(raw["pos"]), from_json_obj(raw["result"])))
-        return cls(from_json_obj(obj["start"]), tuple(steps))
 
 
 # ---------------------------------------------------------------------------

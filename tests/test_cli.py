@@ -286,3 +286,59 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+
+# Runs the `bcd` entry point, then prints which `bcd` modules and whether
+# `dataclasses` the process loaded; `python -m bcd.cli` runs the same imports.
+LOADED_PROBE = (
+    "import json, sys\n"
+    "from bcd.cli import main\n"
+    "try:\n"
+    "    main()\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(m for m in sys.modules\n"
+    "                            if m.split('.')[0] in ('bcd', 'dataclasses'))))\n"
+)
+
+
+class TestModulesPerVerb:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["le", "a & b", "a"],
+            ["eq", "--explain", "--json", "c -> a & b", "(c -> a) & (c -> b)"],
+            ["parse", "--json", "a -> b & c"],
+            ["factors", "(a -> p) & q"],
+        ],
+        ids=["le", "eq", "parse", "factors"],
+    )
+    def test_decide_verbs_load_only_syntax_factors_decide(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == ["bcd", "bcd.cli", "bcd.decide", "bcd.factors", "bcd.syntax"]
+
+
+class TestValueErrorExit:
+    @pytest.mark.parametrize("make", ["UnknownAtom", "subclass"])
+    def test_value_error_subclass_in_a_verb_exits_2(self, capsys, monkeypatch, make):
+        from bcd import cli
+        from bcd.model import UnknownAtom
+
+        class Odd(ValueError):
+            pass
+
+        exc = UnknownAtom("atom 'z' not carried") if make == "UnknownAtom" else Odd("odd")
+
+        def verb(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "le", verb)
+        assert run(["le", "a", "b"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"

@@ -9,7 +9,6 @@ from bcd.decide import DecisionCache, equiv
 from bcd.gen import all_exprs, random_walk, witness_pool
 from bcd.model import (
     LimitExceeded,
-    StackOfTwos,
     UnknownAtom,
     _close_level,
     build_model,
@@ -44,11 +43,6 @@ class TestStackOfTwos:
     def test_invalid(self):
         with pytest.raises(ValueError):
             stack_of_twos(-1, 2)
-
-    def test_record_type(self):
-        rec = StackOfTwos.compute(2, 2)
-        assert (rec.n, rec.m, rec.value) == (2, 2, 16)
-        assert rec.value == 2 ** stack_of_twos(rec.n - 1, rec.m)
 
 
 class TestBuildModel:

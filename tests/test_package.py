@@ -1,0 +1,87 @@
+"""The package namespace: which names `bcd` exports and what `import bcd` loads.
+
+`bcd/__init__` imports `bcd.syntax` and `bcd.factors` and resolves every
+other public name on first use, so these checks look at fresh processes,
+where no earlier test has loaded a submodule yet.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bcd
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PUBLIC_NAMES = [
+    "ARROW_SOURCE", "ARROW_TARGET", "ASSO", "ASSO_INV", "Arrow", "Atom", "COMM", "DIST",
+    "DecisionCache", "Expr", "Factor", "IDEM", "INFINITE_DEPTH", "InvalidPosition",
+    "LimitExceeded", "MEET_LEFT", "MEET_RIGHT", "Meet", "MissingParameter", "Model",
+    "NotARedex", "ParseError", "Polarity", "Rule", "SubtypeMatrix", "TRUNCATION_ATOM",
+    "Trace", "TraceStep", "UnknownAtom", "Verdict", "absp", "apply", "arrow_depth",
+    "atoms_of", "build_model", "convertible_bounded", "dept", "dept_normal_form",
+    "dist_normal_form", "ebb", "equiv", "explain", "factor_to_expr", "factors",
+    "meet_members", "meet_of", "node_at", "node_count", "parse", "polarity", "redexes",
+    "render", "replace_at", "satisfies_eq", "slat_canonical", "stack_of_twos",
+    "subexpressions", "subseteq", "subtype_matrix",
+]
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter with ./src on the path; its JSON stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestPublicNamespace:
+    def test_dir_lists_exactly_the_public_names(self):
+        assert [n for n in dir(bcd) if not n.startswith("_")] == PUBLIC_NAMES
+
+    def test_star_import_binds_exactly_the_public_names(self):
+        ns = {}
+        exec("from bcd import *", ns)
+        assert sorted(n for n in ns if n != "__builtins__") == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_every_name_resolves_to_its_submodule_object(self, name):
+        value = getattr(bcd, name)
+        module = sys.modules[f"bcd.{bcd._EXPORTS[name]}"]
+        assert value is getattr(module, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bcd.no_such_name
+        assert not hasattr(bcd, "StackOfTwos")
+        with pytest.raises(ImportError):
+            exec("from bcd import StackOfTwos", {})
+
+    def test_bare_import_loads_syntax_and_factors_only(self):
+        loaded = fresh(
+            "import json, sys, bcd; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('bcd', 'dataclasses'))))"
+        )
+        assert loaded == ["bcd", "bcd.factors", "bcd.syntax"]
+
+
+class TestFactorsNameClash:
+    """`bcd.factors` is the function even after the submodule of that name loads."""
+
+    @pytest.mark.parametrize(
+        "first", ["import bcd.decide", "from bcd.model import build_model"]
+    )
+    def test_function_survives_a_later_submodule_import(self, first):
+        kind = fresh(
+            f"import json, types; {first}; import bcd; "
+            "print(json.dumps([callable(bcd.factors), "
+            "isinstance(bcd.factors, types.ModuleType), bcd.factors.__module__]))"
+        )
+        assert kind == [True, False, "bcd.factors"]

@@ -364,12 +364,6 @@ class TestTrace:
     def test_verify(self):
         assert self.make_trace().verify()
 
-    def test_json_round_trip(self):
-        t = self.make_trace()
-        back = Trace.from_json(t.to_json())
-        assert back == t
-        assert back.verify()
-
     def test_final(self):
         t = Trace(A)
         assert t.final == A
