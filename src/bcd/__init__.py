@@ -3,24 +3,24 @@ subtype decision procedure, and finite depth-truncation models.
 
 Importing the package loads `bcd.syntax` and `bcd.factors` only.  Every other
 public name is looked up in `_EXPORTS` and loads its submodule on first use,
-so a `bcd le` process never compiles the rewriting, model or self-test code.
+so a `bcd le` or `bcd sat` process never compiles the rewriting, model or
+self-test code.
 """
 
 _EXPORTS = {
     name: module
     for module, names in (
-        ("syntax", "ARROW_SOURCE ARROW_TARGET MEET_LEFT MEET_RIGHT TRUNCATION_ATOM "
-                   "Arrow Atom Expr InvalidPosition Meet ParseError Polarity arrow_depth "
-                   "atoms_of ebb node_at node_count parse polarity render replace_at "
-                   "subexpressions"),
+        ("syntax", "ARROW_SOURCE ARROW_TARGET INFINITE_DEPTH MEET_LEFT MEET_RIGHT "
+                   "TRUNCATION_ATOM Arrow Atom Expr InvalidPosition Meet ParseError "
+                   "Polarity arrow_depth atoms_of dept_normal_form ebb node_at node_count "
+                   "parse polarity render replace_at subexpressions"),
         ("factors", "Factor factor_to_expr factors"),
-        ("decide", "DecisionCache LimitExceeded SubtypeMatrix equiv explain subseteq "
-                   "subtype_matrix"),
-        ("model", "Model UnknownAtom build_model satisfies_eq stack_of_twos"),
-        ("rewrite", "ASSO ASSO_INV COMM DIST IDEM INFINITE_DEPTH MissingParameter NotARedex "
-                    "Rule Trace TraceStep Verdict absp apply convertible_bounded dept "
-                    "dept_normal_form dist_normal_form meet_members meet_of redexes "
-                    "slat_canonical"),
+        ("decide", "DecisionCache LimitExceeded SubtypeMatrix equiv explain satisfies_eq "
+                   "subseteq subtype_matrix"),
+        ("model", "Model UnknownAtom build_model stack_of_twos"),
+        ("rewrite", "ASSO ASSO_INV COMM DIST IDEM MissingParameter NotARedex Rule Trace "
+                    "TraceStep Verdict absp apply convertible_bounded dept "
+                    "dist_normal_form meet_members meet_of redexes slat_canonical"),
     )
     for name in names.split()
 }

@@ -2,30 +2,34 @@
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
-recursion limit).  Parsing and ascii rendering never recurse, so `parse`
-prints any depth; deciding, factoring, normalizing and JSON conversion still
-recurse, and they raise the RecursionError that deep input turns into exit
-3.  --json switches output to a single JSON object on stdout; diagnostics go
-to stderr.
+recursion limit).  Parsing, ascii rendering and depth truncation never
+recurse, so `parse` and `nf --kind dept` answer at any depth; deciding,
+factoring, the other normal forms and JSON conversion still recurse, and
+they raise the RecursionError that deep input turns into exit 3.  --json
+switches output to a single JSON object on stdout; diagnostics go to
+stderr.
 
 Only syntax, factors and decide are imported here, which is all that `parse`,
-`factors`, `le` and `eq` run; `nf`, `sat`, `model`, `bench` and `selftest`
-import their own modules when called, so a call compiles no code it skips.
+`factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and
+`--kind slat`, `model`, `bench` and `selftest` import their own modules when
+called, and json is imported only to write JSON, so a call compiles no code
+it skips.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from .decide import DecisionCache, LimitExceeded, subtype_matrix
+from .decide import DecisionCache, LimitExceeded, satisfies_eq, subtype_matrix
 from .factors import factor_to_expr, sorted_factors
-from .syntax import ParseError, parse, render, to_json_obj
+from .syntax import ParseError, dept_normal_form, parse, render, to_json_obj
 
 
 def _emit(obj: dict) -> None:
+    import json
+
     print(json.dumps(obj))
 
 
@@ -39,12 +43,14 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    from .rewrite import dept_normal_form, dist_normal_form, slat_canonical
-
     e = parse(args.expr)
     if args.kind == "dist":
+        from .rewrite import dist_normal_form
+
         result = dist_normal_form(e)
     elif args.kind == "slat":
+        from .rewrite import slat_canonical
+
         result = slat_canonical(e)
     else:
         if args.depth is None:
@@ -94,8 +100,6 @@ def _cmd_compare(args, want_equiv: bool) -> int:
 
 
 def _cmd_sat(args) -> int:
-    from .model import satisfies_eq
-
     a = parse(args.a)
     b = parse(args.b)
     holds = satisfies_eq(args.depth, a, b)

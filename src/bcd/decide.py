@@ -15,7 +15,9 @@ subexpressions share one row.  Both read their factor sets from
 factors.factors; the matrix's fill is its own matching loop, so it stays an
 independent check on the recursion.
 
-"@" receives no special treatment here.
+"@" receives no special treatment here, except in satisfies_eq: equality in
+the depth-n model, which by the finite model property is equiv over the two
+depth-n truncations.
 
 Results are pure; a DecisionCache may be shared freely, including across
 threads, and behaves as if each query were evaluated in isolation.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .factors import factor_to_expr, factors, sorted_factors
-from .syntax import Arrow, Expr, Meet, render
+from .syntax import INFINITE_DEPTH, Arrow, Expr, Meet, dept_normal_form, render
 
 MATRIX_CAP_BYTES = 10**8
 
@@ -126,6 +128,18 @@ def equiv(a: Expr, b: Expr) -> bool:
 def explain(a: Expr, b: Expr) -> dict:
     """Factor-matching tree justifying subseteq(a, b), as plain data."""
     return DecisionCache().explain(a, b)
+
+
+def satisfies_eq(n: int, a: Expr, b: Expr) -> bool:
+    """Depth-n model equality, decided without a carrier.
+
+    Truncation at depth n stays inside the model's congruence class, and
+    truncated expressions are shallow enough that model equality collapses
+    to plain congruence, so this is equiv over the truncations.
+    """
+    if n == INFINITE_DEPTH or n < 0:
+        raise ValueError("depth must be a finite natural number")
+    return equiv(dept_normal_form(a, n), dept_normal_form(b, n))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ a lookup per entry.  At depth 0 every arrow is @.
 Equality in the depth-n model can be decided without the carrier: truncating
 at depth n is a sound model-preserving reduction, and truncated expressions
 have arrow depth at most n, where model equality and congruence coincide.
-That second path is satisfies_eq; the table-driven path is Model.eval.
+That second path is satisfies_eq, which lives in bcd.decide beside equiv and
+is imported back here, so `bcd sat` loads neither this module nor
+bcd.rewrite; the table-driven path is Model.eval.
 
 A built Model is immutable and safe to share and query concurrently.
 """
@@ -43,10 +45,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decide import DecisionCache, LimitExceeded, equiv
+from .decide import DecisionCache, LimitExceeded, satisfies_eq  # noqa: F401  (its old path)
 from .factors import factor_to_expr, factors
-from .rewrite import INFINITE_DEPTH, dept_normal_form, meet_of
-from .syntax import TRUNCATION_ATOM, Arrow, Atom, Expr, Meet, atoms_of, render
+from .rewrite import meet_of
+from .syntax import (
+    INFINITE_DEPTH,
+    TRUNCATION_ATOM,
+    Arrow,
+    Atom,
+    Expr,
+    Meet,
+    atoms_of,
+    dept_normal_form,
+    render,
+)
 
 _OVERFLOW_CAP = 1_000_000
 
@@ -232,14 +244,3 @@ def build_model(
         cache,
     )
 
-
-def satisfies_eq(n: int, a: Expr, b: Expr) -> bool:
-    """Depth-n model equality, decided without a carrier.
-
-    Truncation at depth n stays inside the model's congruence class, and
-    truncated expressions are shallow enough that model equality collapses
-    to plain congruence, so this is equiv over the truncations.
-    """
-    if n == INFINITE_DEPTH or n < 0:
-        raise ValueError("depth must be a finite natural number")
-    return equiv(dept_normal_form(a, n), dept_normal_form(b, n))

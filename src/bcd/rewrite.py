@@ -14,7 +14,8 @@ Restricted redex enumeration narrows idem to atoms, comm to meets whose
 operands are atoms or arrows, and dept to intersections of atoms and @ -> @
 occurrences.  absp is generative (its C is arbitrary), so it never takes part
 in normalization; it appears only in the bounded conversion search, with
-witnesses drawn from a finite pool.
+witnesses drawn from a finite pool.  The dept normal form, a plain depth
+truncation, lives in bcd.syntax and is imported back here.
 
 The conversion search holds each top-level state as the tuple of its meet
 members (distinct slat-canonical non-meets, sorted by rendering), so it never
@@ -31,7 +32,6 @@ functions of the node alone.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -42,20 +42,19 @@ from .syntax import (
     ARROW_TARGET,
     MEET_LEFT,
     MEET_RIGHT,
-    TRUNCATION_ATOM,
     Arrow,
     Atom,
     Expr,
     Meet,
     Position,
+    _AT,
     ebb,
     node_at,
     render,
     replace_at,
     subexpressions,
 )
-
-INFINITE_DEPTH = math.inf
+from .syntax import INFINITE_DEPTH, dept_normal_form  # noqa: F401  (their old import path)
 
 RULE_KINDS = ("asso", "asso_inv", "comm", "idem", "absp", "dist", "dept")
 
@@ -156,7 +155,6 @@ def _matches(kind: str, sub: Expr, restricted: bool) -> bool:
     raise ValueError(kind)
 
 
-_AT = Atom(TRUNCATION_ATOM)
 _AT_ARROW = Arrow(_AT, _AT)
 
 
@@ -227,6 +225,125 @@ def apply(e: Expr, rule: Rule, pos: Position) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Counted restricted redexes: one random step without listing positions
+#
+# A subterm's count of restricted redexes depends on the subterm alone, and
+# for dept(n) also on the arrows above it, capped at n + 1: from there on
+# every node lies at ebb > n.  The memo maps each capped arrow count to a
+# dict from subterm to count (all at 0 for the other rules); one memo serves
+# one rule, and kept across the steps of a normalization it makes each step
+# cost one path down and the nodes the step builds.
+
+def _restricted_test(rule: Rule):
+    """(cap on the arrow count, test of a node at a capped arrow count)."""
+    kind = rule.kind
+    if kind != "dept":
+        return 0, lambda x, above: _matches(kind, x, True)
+    n = rule.depth_param
+
+    def test(x: Expr, above: int) -> bool:  # _dept_matches(x, True) at ebb > n
+        if x.__class__ is Arrow:
+            return above >= n and x is _AT_ARROW
+        return above > n and x is not _AT and _is_meet_of_atoms(x)
+
+    return n + 1, test
+
+
+def _count(e: Expr, above: int, cap: int, test, memo: dict) -> int:
+    """The count of e at the capped arrow count above, filling memo for
+    every subterm it visits; one loop over an explicit stack."""
+    stack = [e, above]  # flat (subterm, capped arrow count) pairs
+    while stack:
+        x, level = stack[-2:]
+        counts = memo[level]
+        if x in counts:
+            del stack[-2:]
+            continue
+        if x.__class__ is Atom:
+            counts[x] = int(test(x, level))
+            del stack[-2:]
+            continue
+        if x.__class__ is Arrow:
+            below = level + 1 if level < cap else cap
+            first, second = x.source, x.target
+        else:
+            below = level
+            first, second = x.left, x.right
+        inner = memo[below]
+        n_first, n_second = inner.get(first), inner.get(second)
+        if n_first is None or n_second is None:
+            if n_second is None:
+                stack += (second, below)
+            if n_first is None:
+                stack += (first, below)
+            continue
+        counts[x] = test(x, level) + n_first + n_second
+        del stack[-2:]
+    return memo[above][e]
+
+
+def count_restricted(e: Expr, rule: Rule, memo: dict) -> int:
+    """len(redexes(e, rule, restricted=True)), for any rule but dept at an
+    infinite depth, from the per-subterm counts in memo (pass {} to start
+    one), which it fills for every subterm not yet counted."""
+    _check_params(rule)
+    cap, test = _restricted_test(rule)
+    for above in range(cap + 1):
+        memo.setdefault(above, {})
+    return _count(e, 0, cap, test, memo)
+
+
+def apply_nth_restricted(e: Expr, rule: Rule, k: int, memo: dict) -> Expr:
+    """apply(e, rule, redexes(e, rule, restricted=True)[k]), by descent in
+    preorder through the counts that count_restricted(e, rule, memo) left in
+    memo.  A node is itself a redex when its count exceeds its children's.
+    The rebuild of the path back up counts each node it builds, so memo
+    then holds the result's count as well."""
+    cap, test = _restricted_test(rule)
+    path = []  # (ancestor, its capped arrow count, whether the descent went left)
+    x, above = e, 0
+    while True:
+        total = memo[above][x]
+        if not 0 <= k < total:
+            raise IndexError("redex index out of range")
+        if x.__class__ is Arrow:
+            below = above + 1 if above < cap else cap
+            first, second = x.source, x.target
+        elif x.__class__ is Meet:
+            below = above
+            first, second = x.left, x.right
+        else:
+            break  # an atom with a count of 1 is the redex
+        inner = memo[below]
+        n_first = inner[first]
+        own = total - n_first - inner[second]
+        if k < own:
+            break
+        k -= own
+        path.append((x, above, k < n_first))
+        if k < n_first:
+            x = first
+        else:
+            k -= n_first
+            x = second
+        above = below
+    new = _rewrite_once(rule, x)
+    _count(new, above, cap, test, memo)
+    for x, above, went_left in reversed(path):
+        if x.__class__ is Arrow:
+            below = above + 1 if above < cap else cap
+            left, right = (new, x.target) if went_left else (x.source, new)
+            new = Arrow(left, right)
+        else:
+            below = above
+            left, right = (new, x.right) if went_left else (x.left, new)
+            new = Meet(left, right)
+        inner = memo[below]
+        memo[above][new] = test(new, above) + inner[left] + inner[right]
+    return new
+
+
+# ---------------------------------------------------------------------------
 # Traces
 
 @dataclass(frozen=True)
@@ -282,31 +399,6 @@ def _arrow_dist(src: Expr, tgt: Expr) -> Expr:
     if isinstance(tgt, Meet):
         return Meet(_arrow_dist(src, tgt.left), _arrow_dist(src, tgt.right))
     return Arrow(src, tgt)
-
-
-def dept_normal_form(e: Expr, n: int) -> Expr:
-    """Outermost depth truncation: every maximal subexpression lying at
-    ebb > n is replaced by @.
-
-    The result has no position at ebb > n at all (so it is a dept normal
-    form), and it is reachable from e by dept steps at the truncated
-    positions.
-    """
-    if n == INFINITE_DEPTH:
-        return e
-    if n < 0:
-        raise ValueError("depth must be a natural number")
-
-    def go(x: Expr, above: int) -> Expr:
-        if isinstance(x, Atom):
-            return x
-        if isinstance(x, Arrow):
-            if above + 1 > n:
-                return _AT
-            return Arrow(go(x.source, above + 1), go(x.target, above + 1))
-        return Meet(go(x.left, above), go(x.right, above))
-
-    return go(e, 0)
 
 
 def _sorted_members(members) -> tuple:

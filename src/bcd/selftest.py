@@ -31,7 +31,9 @@ from .rewrite import (
     Verdict,
     absp,
     apply,
+    apply_nth_restricted,
     convertible_bounded,
+    count_restricted,
     dept,
     dept_normal_form,
     redexes,
@@ -264,11 +266,15 @@ def _random_size(rng: random.Random, cap: int = 199, mean_internal: float = 15.0
     return 2 * internal + 1
 
 
-def criterion_termination(runs: int = 10_000, seed: int = 106):
-    """Random dist and dept normalizations finish within (node count)^2 steps."""
+def termination_runs(runs: int = 10_000, seed: int = 106):
+    """Random restricted dist and dept normalizations, each stopped once it
+    passes (node count)^2 steps: yields (steps, final expression, bound).
+
+    Each step draws rng.randrange(count), the draw rng.choice makes over the
+    listed redexes, and descends to that redex through per-subterm counts
+    kept for the whole normalization."""
     rng = random.Random(seed)
     atoms = ("a", "b", "@")
-    violations = 0
     for k in range(runs):
         e = random_expr(rng, _random_size(rng), atoms)
         bound = node_count(e) ** 2
@@ -278,15 +284,19 @@ def criterion_termination(runs: int = 10_000, seed: int = 106):
             rule = DIST
         else:
             rule = dept(rng.choice((0, 1, 2)))
-        while True:
-            positions = redexes(cur, rule, restricted=True)
-            if not positions:
+        memo = {}
+        while steps <= bound:
+            total = count_restricted(cur, rule, memo)
+            if not total:
                 break
-            cur = apply(cur, rule, rng.choice(positions))
+            cur = apply_nth_restricted(cur, rule, rng.randrange(total), memo)
             steps += 1
-            if steps > bound:
-                violations += 1
-                break
+        yield steps, cur, bound
+
+
+def criterion_termination(runs: int = 10_000, seed: int = 106):
+    """Random dist and dept normalizations finish within (node count)^2 steps."""
+    violations = sum(steps > bound for steps, _, bound in termination_runs(runs, seed))
     return violations == 0, f"{runs} normalizations, {violations} exceeded the bound"
 
 

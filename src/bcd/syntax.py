@@ -22,8 +22,11 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse and render each run one loop over an explicit stack, so no nesting
-depth reaches the recursion limit.  render caches its text on the node it
+parse, render and the depth truncation dept_normal_form each run one loop
+over an explicit stack, so no nesting depth reaches the recursion limit.
+The truncation lives here, with the module's own @ atom, so that `bcd sat`
+(equiv over two truncations) loads no rewriting code; json is imported only
+when a JSON rendering is asked for.  render caches its text on the node it
 was asked for and on no subterm: rendering a chain keeps one string, not
 one per suffix, so its memory stays linear in the text.  A subterm that was
 itself rendered earlier lends its cached text whole.
@@ -36,7 +39,7 @@ dead, so racing constructors of one structure all get the same node.
 
 from __future__ import annotations
 
-import json
+import math
 import re
 import weakref
 from enum import Enum
@@ -45,6 +48,7 @@ from typing import Union
 from _weakref import _remove_dead_weakref  # what WeakValueDictionary uses
 
 TRUNCATION_ATOM = "@"
+INFINITE_DEPTH = math.inf
 
 # Position steps
 ARROW_SOURCE = "source"
@@ -369,6 +373,8 @@ def render(e: Expr, format: str = "ascii") -> str:
             object.__setattr__(e, "_text", text)
         return text
     if format == "json":
+        import json
+
         return json.dumps(to_json_obj(e))
     raise ValueError(f"unknown format {format!r}")
 
@@ -477,6 +483,53 @@ def arrow_depth(e: Expr) -> int:
     if isinstance(e, Arrow):
         return 1 + max(arrow_depth(e.source), arrow_depth(e.target))
     return max(arrow_depth(e.left), arrow_depth(e.right))
+
+
+_AT = Atom(TRUNCATION_ATOM)  # held here, so a truncation never looks it up
+
+
+def dept_normal_form(e: Expr, n: int) -> Expr:
+    """Outermost depth truncation: every maximal subexpression lying at
+    ebb > n is replaced by @.
+
+    The result has no position at ebb > n at all (so it is a dept normal
+    form), and it is reachable from e by dept steps at the truncated
+    positions.  One loop over an explicit stack of (node, arrows above it)
+    entries, so no depth reaches the recursion limit; a subterm that the
+    truncation leaves unchanged is returned as it is, without a lookup.
+    """
+    if n == INFINITE_DEPTH:
+        return e
+    if n < 0:
+        raise ValueError("depth must be a natural number")
+    done = []  # truncated subterms, in postorder
+    stack = [e, 0]  # flat pairs; an arrow count of -1 rebuilds the node
+    while stack:
+        above = stack.pop()
+        x = stack.pop()
+        cls = x.__class__
+        if above < 0:  # both children are done
+            y = done.pop()
+            w = done.pop()
+            if cls is Arrow:
+                done.append(x if w is x.source and y is x.target else Arrow(w, y))
+            else:
+                done.append(x if w is x.left and y is x.right else Meet(w, y))
+        elif cls is Atom:
+            done.append(x)
+        elif cls is Arrow:
+            if above >= n:
+                done.append(_AT)
+            elif x.source.__class__ is Atom and x.target.__class__ is Atom:
+                done.append(x)
+            else:
+                above += 1
+                stack += (x, -1, x.target, above, x.source, above)
+        elif x.left.__class__ is Atom and x.right.__class__ is Atom:
+            done.append(x)
+        else:
+            stack += (x, -1, x.right, above, x.left, above)
+    return done[0]
 
 
 def polarity(e: Expr, pos: Position) -> Polarity:

@@ -342,3 +342,69 @@ class TestValueErrorExit:
         monkeypatch.setitem(cli._DISPATCH, "le", verb)
         assert run(["le", "a", "b"]) == 2
         assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+# Like LOADED_PROBE, but it imports no json (it prints a repr), and it also
+# lists the json modules the process loaded.
+LOADED_PROBE_NO_JSON = (
+    "import sys\n"
+    "from bcd.cli import main\n"
+    "try:\n"
+    "    main()\n"
+    "finally:\n"
+    "    print(sorted(m for m in sys.modules\n"
+    "                 if m.split('.')[0] in ('bcd', 'dataclasses', 'json')))\n"
+)
+
+LE_PATH = ["bcd", "bcd.cli", "bcd.decide", "bcd.factors", "bcd.syntax"]
+
+
+def _loaded_by(argv):
+    import ast
+
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE_NO_JSON, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+class TestModulesOnTheLePath:
+    """`sat` and `nf --kind dept` run on the modules `le` loads, and json is
+    loaded only to write JSON."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sat", "--depth", "1", "a -> b -> c", "a -> b -> d"],
+            ["sat", "--depth", "0", "a", "a"],
+            ["nf", "--kind", "dept", "--depth", "1", "a -> b -> c"],
+            ["le", "a", "a"],
+        ],
+        ids=["sat-1", "sat-0", "nf-dept", "le"],
+    )
+    def test_loads_the_le_modules_and_no_json(self, argv):
+        assert _loaded_by(argv) == LE_PATH
+
+    def test_json_output_loads_json(self):
+        loaded = _loaded_by(["sat", "--json", "--depth", "1", "a", "a"])
+        assert [m for m in loaded if m.startswith("bcd")] == LE_PATH
+        assert "json" in loaded
+
+    @pytest.mark.parametrize("kind", ["dist", "slat"])
+    def test_other_normal_forms_load_rewrite(self, kind):
+        loaded = _loaded_by(["nf", "--kind", kind, "a -> b & c"])
+        assert "bcd.rewrite" in loaded
+        assert "bcd.model" not in loaded
+
+
+class TestDeepTruncation:
+    def test_nf_dept_answers_a_chain_deeper_than_the_limit(self, capsys):
+        # the truncation is a loop: at a depth above the chain's it returns
+        # the chain, which the parser and the printer handle at any depth
+        assert run(["nf", "--kind", "dept", "--depth", "30000", LONG_CHAIN]) == 0
+        assert capsys.readouterr().out == " -> ".join(["a"] * 25001) + "\n"

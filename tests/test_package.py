@@ -85,3 +85,34 @@ class TestFactorsNameClash:
             "isinstance(bcd.factors, types.ModuleType), bcd.factors.__module__]))"
         )
         assert kind == [True, False, "bcd.factors"]
+
+
+class TestModuleHomes:
+    """The depth truncation lives in `bcd.syntax` and satisfies_eq in
+    `bcd.decide`; their old modules import them back."""
+
+    def test_old_paths_give_the_same_objects(self):
+        import bcd.decide
+        import bcd.model
+        import bcd.rewrite
+        import bcd.syntax
+
+        assert bcd.model.satisfies_eq is bcd.decide.satisfies_eq
+        assert bcd.rewrite.dept_normal_form is bcd.syntax.dept_normal_form
+        assert bcd.rewrite.INFINITE_DEPTH is bcd.syntax.INFINITE_DEPTH
+        assert bcd.model.dept_normal_form is bcd.syntax.dept_normal_form
+
+    def test_exports_point_at_the_new_homes(self):
+        assert bcd._EXPORTS["INFINITE_DEPTH"] == "syntax"
+        assert bcd._EXPORTS["dept_normal_form"] == "syntax"
+        assert bcd._EXPORTS["satisfies_eq"] == "decide"
+        assert sorted(bcd._EXPORTS) == PUBLIC_NAMES
+
+    def test_bare_import_loads_no_json(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, bcd; print('json' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -785,3 +785,45 @@ class TestSearchMatchesReference:
         for a, b in rng.sample(pairs, 100):
             expanded += self.check(monkeypatch, a, b, budget=15)[1]
         assert expanded > 1_000
+
+
+class TestCountedRedexes:
+    """count_restricted and apply_nth_restricted: a random restricted step
+    by counted descent, the step that criterion 06 takes."""
+
+    RULES = [ASSO, ASSO_INV, COMM, IDEM, DIST, absp(A), dept(0), dept(1), dept(2)]
+
+    @pytest.mark.parametrize(
+        "rule", RULES, ids=lambda r: r.kind if r.depth_param is None else f"dept{r.depth_param}"
+    )
+    def test_kth_step_is_apply_at_the_kth_listed_redex(self, rule):
+        rng = random.Random(606)
+        for _ in range(150):
+            e = random_expr_local(rng, rng.randint(1, 41), ("a", "b", "@"))
+            memo = {}
+            positions = redexes(e, rule, restricted=True)
+            assert rewrite.count_restricted(e, rule, memo) == len(positions)
+            for k, pos in enumerate(positions):
+                result = rewrite.apply_nth_restricted(e, rule, k, memo)
+                assert result is apply(e, rule, pos)
+                # the rebuild left the result's counts in the shared memo
+                expected = len(redexes(result, rule, restricted=True))
+                assert rewrite.count_restricted(result, rule, memo) == expected
+            for k in (-1, len(positions)):
+                with pytest.raises(IndexError):
+                    rewrite.apply_nth_restricted(e, rule, k, memo)
+
+    def test_criterion_06_runs_match_the_listing_walk(self):
+        # sha256 over "steps render(final)" lines of all 10,000 runs, as the
+        # walk that listed every redex and took rng.choice of the positions
+        # computed it
+        import hashlib
+
+        from bcd.selftest import termination_runs
+
+        digest = hashlib.sha256()
+        for steps, final, _ in termination_runs():
+            digest.update(f"{steps} {render(final)}\n".encode())
+        assert digest.hexdigest() == (
+            "7157cbc9fabb6d0ac8407149477f18aadcd33f5aa14d19832aa98ef2f004645d"
+        )

@@ -742,3 +742,69 @@ class TestDeterminism:
         after = _outputs(texts)
         assert pool
         assert json.dumps(after).encode() == json.dumps(before).encode()
+
+
+def _recursive_dept_normal_form(e, n):
+    """Verbatim copy of the recursive truncation that dept_normal_form
+    replaced (then in bcd.rewrite), kept as its reference."""
+    _AT = Atom("@")
+    INFINITE_DEPTH = syntax.INFINITE_DEPTH
+    if n == INFINITE_DEPTH:
+        return e
+    if n < 0:
+        raise ValueError("depth must be a natural number")
+
+    def go(x, above: int):
+        if isinstance(x, Atom):
+            return x
+        if isinstance(x, Arrow):
+            if above + 1 > n:
+                return _AT
+            return Arrow(go(x.source, above + 1), go(x.target, above + 1))
+        return Meet(go(x.left, above), go(x.right, above))
+
+    return go(e, 0)
+
+
+class TestDeptNormalFormLoop:
+    """dept_normal_form is one loop over an explicit stack."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_same_node_as_the_recursive_reference(self, n):
+        rng = random.Random(4100 + n)
+        for _ in range(3000):
+            e = random_expr(rng, rng.randint(1, 199), ("a", "b", "@"))
+            assert syntax.dept_normal_form(e, n) is _recursive_dept_normal_form(e, n)
+
+    def test_depth_checks(self):
+        e = parse("a -> b")
+        assert syntax.dept_normal_form(e, syntax.INFINITE_DEPTH) is e
+        with pytest.raises(ValueError):
+            syntax.dept_normal_form(e, -1)
+
+    @staticmethod
+    def _at_default_limit(fn, *args):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            return fn(*args)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_deep_arrow_chain(self):
+        chain = A
+        for _ in range(100_000):
+            chain = Arrow(A, chain)
+        nf = syntax.dept_normal_form
+        assert self._at_default_limit(nf, chain, 2) is Arrow(A, Arrow(A, Atom("@")))
+        assert self._at_default_limit(nf, chain, 100_000) is chain
+        assert self._at_default_limit(nf, chain, 99_999) is not chain
+
+    def test_deep_meet_spine(self):
+        member, truncated = parse("a -> b -> c"), parse("a -> @")
+        spine, expected = member, truncated
+        for _ in range(100_000):
+            spine, expected = Meet(spine, member), Meet(expected, truncated)
+        nf = syntax.dept_normal_form
+        assert self._at_default_limit(nf, spine, 1) is expected
+        assert self._at_default_limit(nf, spine, 2) is spine
