@@ -2,12 +2,12 @@
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
-recursion limit).  Parsing, ascii rendering and depth truncation never
-recurse, so `parse` and `nf --kind dept` answer at any depth; deciding,
-factoring, the other normal forms and JSON conversion still recurse, and
-they raise the RecursionError that deep input turns into exit 3.  --json
-switches output to a single JSON object on stdout; diagnostics go to
-stderr.
+recursion limit).  Parsing, ascii rendering, depth truncation, arrow depth
+and single rewrite steps never recurse, so `parse` and `nf --kind dept`
+answer at any depth; deciding, factoring, the other normal forms and JSON
+conversion still recurse, and they raise the RecursionError that deep input
+turns into exit 3.  --json switches output to a single JSON object on
+stdout; diagnostics go to stderr.
 
 Only syntax, factors and decide are imported here, which is all that `parse`,
 `factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and

@@ -12,10 +12,12 @@ Rules (each rewrites exactly one occurrence of its left hand side):
 
 Restricted redex enumeration narrows idem to atoms, comm to meets whose
 operands are atoms or arrows, and dept to intersections of atoms and @ -> @
-occurrences.  absp is generative (its C is arbitrary), so it never takes part
-in normalization; it appears only in the bounded conversion search, with
-witnesses drawn from a finite pool.  The dept normal form, a plain depth
-truncation, lives in bcd.syntax and is imported back here.
+occurrences.  One predicate tests every rule's redex, restricted or not, for
+the listing, for a single step and for the counted walk alike.  absp is
+generative (its C is arbitrary), so it never takes part in normalization; it
+appears only in the bounded conversion search, with witnesses drawn from a
+finite pool.  The dept normal form, a plain depth truncation, lives in
+bcd.syntax and is imported back here.
 
 The conversion search holds each top-level state as the tuple of its meet
 members (distinct slat-canonical non-meets, sorted by rendering), so it never
@@ -48,10 +50,9 @@ from .syntax import (
     Meet,
     Position,
     _AT,
-    ebb,
-    node_at,
+    _path,
+    _rebuild,
     render,
-    replace_at,
     subexpressions,
 )
 from .syntax import INFINITE_DEPTH, dept_normal_form  # noqa: F401  (their old import path)
@@ -135,41 +136,35 @@ def _check_params(rule: Rule) -> None:
         raise MissingParameter("dept needs a depth parameter")
 
 
-def _matches(kind: str, sub: Expr, restricted: bool) -> bool:
-    if kind == "asso":
-        return isinstance(sub, Meet) and isinstance(sub.right, Meet)
-    if kind == "asso_inv":
-        return isinstance(sub, Meet) and isinstance(sub.left, Meet)
-    if kind == "comm":
-        if not isinstance(sub, Meet):
-            return False
-        if not restricted:
-            return True
-        return not isinstance(sub.left, Meet) and not isinstance(sub.right, Meet)
-    if kind == "idem":
-        return isinstance(sub, Atom) if restricted else True
-    if kind == "dist":
-        return isinstance(sub, Arrow) and isinstance(sub.target, Meet)
-    if kind == "absp":
-        return isinstance(sub, Arrow)
-    raise ValueError(kind)
-
-
 _AT_ARROW = Arrow(_AT, _AT)
 
 
-def _dept_matches(sub: Expr, restricted: bool) -> bool:
-    if sub is _AT:
-        return False  # rewriting @ to @ is a trivial loop
-    if not restricted:
-        return True
-    return _is_meet_of_atoms(sub) or sub is _AT_ARROW
+def _is_redex(rule: Rule, x: Expr, here: int, restricted: bool) -> bool:
+    """Whether rule's left hand side matches x, a node at ebb here; restricted
+    narrows idem, comm and dept to their restricted redex forms."""
+    kind = rule.kind
+    if kind == "dept":
+        if here <= rule.depth_param or x is _AT:  # rewriting @ to @ is a trivial loop
+            return False
+        return not restricted or x is _AT_ARROW or _is_meet_of_atoms(x)
+    if kind == "dist":
+        return isinstance(x, Arrow) and isinstance(x.target, Meet)
+    if kind == "asso":
+        return isinstance(x, Meet) and isinstance(x.right, Meet)
+    if kind == "asso_inv":
+        return isinstance(x, Meet) and isinstance(x.left, Meet)
+    if kind == "comm":
+        if not isinstance(x, Meet):
+            return False
+        return not restricted or not (isinstance(x.left, Meet) or isinstance(x.right, Meet))
+    if kind == "idem":
+        return isinstance(x, Atom) or not restricted
+    return isinstance(x, Arrow)  # absp
 
 
 def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
     """All positions where the rule's left hand side matches, in preorder."""
     _check_params(rule)
-    kind, n = rule.kind, rule.depth_param
     out = []
     # carry the arrow count above each node; a node's own ebb adds one more
     # when the node is an arrow
@@ -177,10 +172,7 @@ def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
     while stack:
         pos, x, above = stack.pop()
         here = above + 1 if isinstance(x, Arrow) else above
-        if kind == "dept":
-            if here > n and _dept_matches(x, restricted):
-                out.append(pos)
-        elif _matches(kind, x, restricted):
+        if _is_redex(rule, x, here, restricted):
             out.append(pos)
         if isinstance(x, Arrow):
             stack.append((pos + (ARROW_TARGET,), x.target, here))
@@ -215,13 +207,11 @@ def _rewrite_once(rule: Rule, sub: Expr) -> Expr:
 def apply(e: Expr, rule: Rule, pos: Position) -> Expr:
     """Rewrite the single occurrence at pos; raises NotARedex on a mismatch."""
     _check_params(rule)
-    sub = node_at(e, pos)
-    if rule.kind == "dept":
-        if not (ebb(e, pos) > rule.depth_param and _dept_matches(sub, False)):
-            raise NotARedex(f"dept does not apply at {pos!r}")
-    elif not _matches(rule.kind, sub, False):
+    nodes = _path(e, pos)
+    sub = nodes[-1]
+    if not _is_redex(rule, sub, sum(x.__class__ is Arrow for x in nodes), False):
         raise NotARedex(f"{rule.kind} does not apply at {pos!r}")
-    return replace_at(e, pos, _rewrite_once(rule, sub))
+    return _rebuild(nodes, pos, _rewrite_once(rule, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +222,10 @@ def apply(e: Expr, rule: Rule, pos: Position) -> Expr:
 # every node lies at ebb > n.  The memo maps each capped arrow count to a
 # dict from subterm to count (all at 0 for the other rules); one memo serves
 # one rule, and kept across the steps of a normalization it makes each step
-# cost one path down and the nodes the step builds.
+# cost one path down and the nodes the step builds.  The arrow count below a
+# node, above its children, is the node's own ebb, capped as well.
 
-def _restricted_test(rule: Rule):
-    """(cap on the arrow count, test of a node at a capped arrow count)."""
-    kind = rule.kind
-    if kind != "dept":
-        return 0, lambda x, above: _matches(kind, x, True)
-    n = rule.depth_param
-
-    def test(x: Expr, above: int) -> bool:  # _dept_matches(x, True) at ebb > n
-        if x.__class__ is Arrow:
-            return above >= n and x is _AT_ARROW
-        return above > n and x is not _AT and _is_meet_of_atoms(x)
-
-    return n + 1, test
-
-
-def _count(e: Expr, above: int, cap: int, test, memo: dict) -> int:
+def _count(e: Expr, above: int, cap: int, rule: Rule, memo: dict) -> int:
     """The count of e at the capped arrow count above, filling memo for
     every subterm it visits; one loop over an explicit stack."""
     stack = [e, above]  # flat (subterm, capped arrow count) pairs
@@ -260,7 +236,7 @@ def _count(e: Expr, above: int, cap: int, test, memo: dict) -> int:
             del stack[-2:]
             continue
         if x.__class__ is Atom:
-            counts[x] = int(test(x, level))
+            counts[x] = int(_is_redex(rule, x, level, True))
             del stack[-2:]
             continue
         if x.__class__ is Arrow:
@@ -277,7 +253,7 @@ def _count(e: Expr, above: int, cap: int, test, memo: dict) -> int:
             if n_first is None:
                 stack += (first, below)
             continue
-        counts[x] = test(x, level) + n_first + n_second
+        counts[x] = _is_redex(rule, x, below, True) + n_first + n_second
         del stack[-2:]
     return memo[above][e]
 
@@ -287,10 +263,10 @@ def count_restricted(e: Expr, rule: Rule, memo: dict) -> int:
     infinite depth, from the per-subterm counts in memo (pass {} to start
     one), which it fills for every subterm not yet counted."""
     _check_params(rule)
-    cap, test = _restricted_test(rule)
+    cap = rule.depth_param + 1 if rule.kind == "dept" else 0
     for above in range(cap + 1):
         memo.setdefault(above, {})
-    return _count(e, 0, cap, test, memo)
+    return _count(e, 0, cap, rule, memo)
 
 
 def apply_nth_restricted(e: Expr, rule: Rule, k: int, memo: dict) -> Expr:
@@ -299,7 +275,7 @@ def apply_nth_restricted(e: Expr, rule: Rule, k: int, memo: dict) -> Expr:
     memo.  A node is itself a redex when its count exceeds its children's.
     The rebuild of the path back up counts each node it builds, so memo
     then holds the result's count as well."""
-    cap, test = _restricted_test(rule)
+    cap = rule.depth_param + 1 if rule.kind == "dept" else 0
     path = []  # (ancestor, its capped arrow count, whether the descent went left)
     x, above = e, 0
     while True:
@@ -328,7 +304,7 @@ def apply_nth_restricted(e: Expr, rule: Rule, k: int, memo: dict) -> Expr:
             x = second
         above = below
     new = _rewrite_once(rule, x)
-    _count(new, above, cap, test, memo)
+    _count(new, above, cap, rule, memo)
     for x, above, went_left in reversed(path):
         if x.__class__ is Arrow:
             below = above + 1 if above < cap else cap
@@ -339,7 +315,7 @@ def apply_nth_restricted(e: Expr, rule: Rule, k: int, memo: dict) -> Expr:
             left, right = (new, x.right) if went_left else (x.left, new)
             new = Meet(left, right)
         inner = memo[below]
-        memo[above][new] = test(new, above) + inner[left] + inner[right]
+        memo[above][new] = _is_redex(rule, new, below, True) + inner[left] + inner[right]
     return new
 
 

@@ -22,8 +22,10 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse, render and the depth truncation dept_normal_form each run one loop
-over an explicit stack, so no nesting depth reaches the recursion limit.
+parse, render, arrow_depth and the depth truncation dept_normal_form each
+run one loop over an explicit stack, and every position operation walks its
+path by one validated descent, _path (a replacement rebuilds that path by
+one loop, _rebuild), so no nesting depth reaches the recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
 (equiv over two truncations) loads no rewriting code; json is imported only
 when a JSON rendering is asked for.  render caches its text on the node it
@@ -382,35 +384,35 @@ def render(e: Expr, format: str = "ascii") -> str:
 # ---------------------------------------------------------------------------
 # Positions and structural queries
 
-def node_at(e: Expr, pos: Position) -> Expr:
-    cur = e
+def _path(e: Expr, pos: Position) -> list:
+    """The nodes along pos: e first, the node at pos last.  Each step string
+    is the name of the slot that holds the child it leads to."""
+    nodes = [e]
     for step in pos:
-        if isinstance(cur, Arrow) and step == ARROW_SOURCE:
-            cur = cur.source
-        elif isinstance(cur, Arrow) and step == ARROW_TARGET:
-            cur = cur.target
-        elif isinstance(cur, Meet) and step == MEET_LEFT:
-            cur = cur.left
-        elif isinstance(cur, Meet) and step == MEET_RIGHT:
-            cur = cur.right
-        else:
+        cur = nodes[-1]
+        if cur.__class__ is Atom or step not in cur.__slots__:
             raise InvalidPosition(f"step {step!r} does not apply at {cur!r}")
-    return cur
+        nodes.append(getattr(cur, step))
+    return nodes
+
+
+def _rebuild(nodes: list, pos: Position, new: Expr) -> Expr:
+    """The root of nodes = _path(e, pos) with new in place of the node at pos."""
+    for x, step in zip(nodes[-2::-1], reversed(pos)):
+        cls, (first, second) = x.__class__, x.__slots__
+        if step == first:
+            new = cls(new, getattr(x, second))
+        else:
+            new = cls(getattr(x, first), new)
+    return new
+
+
+def node_at(e: Expr, pos: Position) -> Expr:
+    return _path(e, pos)[-1]
 
 
 def replace_at(e: Expr, pos: Position, replacement: Expr) -> Expr:
-    if not pos:
-        return replacement
-    step, rest = pos[0], pos[1:]
-    if isinstance(e, Arrow) and step == ARROW_SOURCE:
-        return Arrow(replace_at(e.source, rest, replacement), e.target)
-    if isinstance(e, Arrow) and step == ARROW_TARGET:
-        return Arrow(e.source, replace_at(e.target, rest, replacement))
-    if isinstance(e, Meet) and step == MEET_LEFT:
-        return Meet(replace_at(e.left, rest, replacement), e.right)
-    if isinstance(e, Meet) and step == MEET_RIGHT:
-        return Meet(e.left, replace_at(e.right, rest, replacement))
-    raise InvalidPosition(f"step {step!r} does not apply at {e!r}")
+    return _rebuild(_path(e, pos), pos, replacement)
 
 
 def subexpressions(e: Expr) -> list:
@@ -471,18 +473,28 @@ def ebb(e: Expr, pos: Position = ()) -> int:
     Consequently ebb(c -> d, ()) == 1 and the ebb of an atom at the root is 0.
     Extending a position never decreases ebb.
     """
-    at = node_at(e, pos)  # validates, raises InvalidPosition
-    steps = sum(1 for step in pos if step in (ARROW_SOURCE, ARROW_TARGET))
-    return steps + isinstance(at, Arrow)
+    return sum(x.__class__ is Arrow for x in _path(e, pos))
 
 
 def arrow_depth(e: Expr) -> int:
-    """Maximum ebb over all positions; 0 iff the expression has no arrow."""
-    if isinstance(e, Atom):
-        return 0
-    if isinstance(e, Arrow):
-        return 1 + max(arrow_depth(e.source), arrow_depth(e.target))
-    return max(arrow_depth(e.left), arrow_depth(e.right))
+    """Maximum ebb over all positions; 0 iff the expression has no arrow.
+
+    One loop over an explicit stack, with each distinct subterm's depth
+    kept for the call, so a shared subterm is walked once."""
+    depth = {}
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if x.__class__ is Atom:
+            depth[stack.pop()] = 0
+            continue
+        first, second = (x.source, x.target) if x.__class__ is Arrow else (x.left, x.right)
+        missing = [c for c in (first, second) if c not in depth]
+        if missing:
+            stack += missing
+        else:  # a node on the stack twice costs O(1) the second time
+            depth[stack.pop()] = max(depth[first], depth[second]) + (x.__class__ is Arrow)
+    return depth[e]
 
 
 _AT = Atom(TRUNCATION_ATOM)  # held here, so a truncation never looks it up
@@ -540,8 +552,8 @@ def polarity(e: Expr, pos: Position) -> Polarity:
     preserve everything.  Strict positivity refines positivity, so positions
     with no arrow-source step report STRICTLY_POSITIVE rather than POSITIVE.
     """
-    node_at(e, pos)  # validates, raises InvalidPosition
-    flips = sum(1 for step in pos if step == ARROW_SOURCE)
+    _path(e, pos)  # validates, raises InvalidPosition
+    flips = pos.count(ARROW_SOURCE)
     if flips == 0:
         return Polarity.STRICTLY_POSITIVE
     return Polarity.NEGATIVE if flips % 2 else Polarity.POSITIVE

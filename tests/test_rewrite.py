@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 from itertools import combinations
 
@@ -35,16 +36,20 @@ from bcd.rewrite import (
 )
 from bcd import rewrite
 from bcd.syntax import (
+    ARROW_SOURCE,
+    ARROW_TARGET,
     Arrow,
     Atom,
     Expr,
     Meet,
+    Polarity,
     Position,
     arrow_depth,
     ebb,
     node_at,
     node_count,
     parse,
+    polarity,
     render,
     replace_at,
     subexpressions,
@@ -827,3 +832,39 @@ class TestCountedRedexes:
         assert digest.hexdigest() == (
             "7157cbc9fabb6d0ac8407149477f18aadcd33f5aa14d19832aa98ef2f004645d"
         )
+
+
+class TestDeepPositions:
+    """A rewrite step walks its position by one loop down and rebuilds it by
+    one loop up, so a position deeper than the recursion limit costs no
+    frames."""
+
+    @pytest.mark.parametrize("step", [ARROW_TARGET, ARROW_SOURCE])
+    def test_a_step_at_a_100000_step_position(self, step):
+        n = 100_000
+
+        def chain(leaf: Expr) -> Expr:  # the leaf at the end of n arrows
+            e = leaf
+            for _ in range(n):
+                e = Arrow(A, e) if step == ARROW_TARGET else Arrow(e, A)
+            return e
+
+        e, pos = chain(A), (step,) * n
+        doubled = chain(Meet(A, A))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert node_at(e, pos) is A
+            assert ebb(e, pos) == n
+            assert polarity(e, pos) is (
+                Polarity.STRICTLY_POSITIVE if step == ARROW_TARGET else Polarity.POSITIVE
+            )
+            assert replace_at(e, pos, B) is chain(B)
+            assert apply(e, IDEM, pos) is doubled
+            assert apply(e, dept(n - 1), pos) is chain(AT)
+            with pytest.raises(NotARedex):
+                apply(e, dept(n), pos)
+            trace = Trace(e).extend(IDEM, pos)
+            assert trace.final is doubled and trace.verify()
+        finally:
+            sys.setrecursionlimit(limit)

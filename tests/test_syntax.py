@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import random
+import signal
 import sys
 import threading
 import tracemalloc
@@ -808,3 +809,131 @@ class TestDeptNormalFormLoop:
         nf = syntax.dept_normal_form
         assert self._at_default_limit(nf, spine, 1) is expected
         assert self._at_default_limit(nf, spine, 2) is spine
+
+
+_at_limit_1000 = TestDeptNormalFormLoop._at_default_limit
+
+
+class TestArrowDepthLoop:
+    """arrow_depth is one loop over an explicit stack, memoized per call."""
+
+    def test_deep_arrow_chain(self):
+        chain = A
+        for _ in range(100_000):
+            chain = Arrow(A, chain)
+        assert _at_limit_1000(arrow_depth, chain) == 100_000
+
+    def test_deep_meet_spine(self):
+        member = parse("a -> b -> c")
+        spine = member
+        for _ in range(100_000):
+            spine = Meet(spine, member)
+        assert _at_limit_1000(arrow_depth, spine) == 2
+
+    def test_shared_subterms_are_walked_once(self):
+        # 2^64 copies of the member as a tree, 64 meets as a DAG: a walk that
+        # visited every copy would not end, so an alarm stops it
+        e = parse("a -> (b & (c -> d))")
+        for _ in range(64):
+            e = Meet(e, e)
+
+        def stop(signum, frame):
+            raise TimeoutError("arrow_depth walks a shared subterm once per copy")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            assert arrow_depth(e) == 2
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+def _nest(depth: int, steps: tuple):
+    """An expression nested depth levels deep along the cycling steps, with b
+    beside each step and a at the bottom, and the position of that a."""
+    pos = tuple(steps[i % len(steps)] for i in range(depth))
+    e = A
+    for step in reversed(pos):
+        if step == ARROW_SOURCE:
+            e = Arrow(e, B)
+        elif step == ARROW_TARGET:
+            e = Arrow(B, e)
+        elif step == MEET_LEFT:
+            e = Meet(e, B)
+        else:
+            e = Meet(B, e)
+    return e, pos
+
+
+_EVERY_STEP = (ARROW_SOURCE, ARROW_TARGET, MEET_LEFT, MEET_RIGHT)
+_NO_SOURCE = (ARROW_TARGET, MEET_LEFT, MEET_RIGHT)
+_DEEP = 100_000  # a quarter of the levels are arrow sources, half are arrows
+
+# name -> (depth, steps, call(e, pos), check(result, e, pos))
+_GUARDED = {
+    "parse": (_DEEP, _EVERY_STEP, lambda e, pos: parse(render(e)), lambda r, e, pos: r is e),
+    "render": (_DEEP, _EVERY_STEP, lambda e, pos: render(e), lambda r, e, pos: parse(r) is e),
+    "node_at": (_DEEP, _EVERY_STEP, node_at, lambda r, e, pos: r is A),
+    "replace_at": (
+        _DEEP,
+        _EVERY_STEP,
+        lambda e, pos: replace_at(e, pos, C),
+        lambda r, e, pos: node_at(r, pos) is C and replace_at(r, pos, A) is e,
+    ),
+    "ebb": (_DEEP, _EVERY_STEP, ebb, lambda r, e, pos: r == _DEEP // 2),
+    "polarity": (_DEEP, _EVERY_STEP, polarity, lambda r, e, pos: r is Polarity.POSITIVE),
+    "node_count": (
+        _DEEP, _EVERY_STEP, lambda e, pos: node_count(e), lambda r, e, pos: r == 2 * _DEEP + 1
+    ),
+    "atoms_of": (
+        _DEEP, _EVERY_STEP, lambda e, pos: atoms_of(e), lambda r, e, pos: r == {"a", "b"}
+    ),
+    "arrow_depth": (
+        _DEEP, _EVERY_STEP, lambda e, pos: arrow_depth(e), lambda r, e, pos: r == _DEEP // 2
+    ),
+    "dept_normal_form": (
+        _DEEP,
+        _EVERY_STEP,
+        lambda e, pos: syntax.dept_normal_form(e, 1),
+        lambda r, e, pos: r is Arrow(Atom("@"), B),
+    ),
+    "subexpressions": (
+        3000,
+        _EVERY_STEP,
+        lambda e, pos: subexpressions(e),
+        lambda r, e, pos: len(r) == 6001 and (pos, A) in r,
+    ),
+    "strictly_positive_atom_positions": (
+        3000,
+        _NO_SOURCE,
+        lambda e, pos: strictly_positive_atom_positions(e),
+        lambda r, e, pos: len(r) == 2001 and pos in r,  # b beside each meet step
+    ),
+}
+
+
+class TestNothingRecurses:
+    """Every public function of bcd.syntax answers on an input nested far
+    deeper than recursion limit 1,000, through every kind of step that it
+    descends, so recursion brought back into any of them fails here.
+
+    subexpressions and strictly_positive_atom_positions build one position
+    tuple per node, so they get a 3,000-deep nest: a 10^5 one would need
+    about 5 * 10^9 tuple entries.  to_json_obj and from_json_obj are the
+    only recursive functions left in the module (with the nodes' repr)."""
+
+    @pytest.mark.parametrize("name", sorted(_GUARDED))
+    def test_deep_input_at_recursion_limit_1000(self, name):
+        depth, steps, call, check = _GUARDED[name]
+        e, pos = _nest(depth, steps)
+        assert check(_at_limit_1000(call, e, pos), e, pos)
+
+    def test_every_public_function_is_guarded(self):
+        public = {
+            name
+            for name, f in vars(syntax).items()
+            if callable(f) and getattr(f, "__module__", None) == syntax.__name__
+            and not name.startswith("_") and not isinstance(f, type)
+        }
+        assert public == set(_GUARDED) | {"to_json_obj", "from_json_obj"}
