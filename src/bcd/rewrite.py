@@ -28,8 +28,11 @@ the key alone, so a caller may pass one dict to many searches.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
-only caches kept on nodes are slat_canonical's and the rendering's, both
-functions of the node alone.
+caches kept on nodes are functions of the node alone: slat_canonical's and
+the rendering's, and, for the search and prune only, a node's meet-spine
+member tuple and member set.  The search and prune record each arrow or meet
+that they build from slat-canonical parts in canonical order as its own
+slat-canonical form, so that slat_canonical answers it with one lookup.
 """
 
 from __future__ import annotations
@@ -109,6 +112,24 @@ def meet_members(e: Expr) -> list:
         else:
             out.append(x)
     return out
+
+
+def _members(e: Expr) -> tuple:
+    """meet_members(e) as a tuple, cached on e: the search and prune ask
+    each node for its spine many times, and the spine is fixed by the node."""
+    members = e.__dict__.get("_members")
+    if members is None:
+        members = e.__dict__["_members"] = tuple(meet_members(e))
+    return members
+
+
+def _memberset(e: Expr) -> frozenset:
+    """The members of e's meet spine as a set, cached on e, for the
+    absorption test."""
+    members = e.__dict__.get("_memberset")
+    if members is None:
+        members = e.__dict__["_memberset"] = frozenset(_members(e))
+    return members
 
 
 def meet_of(members) -> Expr:
@@ -383,13 +404,30 @@ def _sorted_members(members) -> tuple:
     return tuple(sorted(set(members), key=render))
 
 
+def _canonical(x: Expr) -> Expr:
+    """x, recorded as its own slat-canonical form: for an arrow or meet just
+    built from slat-canonical parts in canonical order, so that a later
+    slat_canonical(x) is one lookup."""
+    x.__dict__["_slat"] = x
+    return x
+
+
+def _meet_node(members: tuple) -> Expr:
+    """The left-nested meet of a member tuple of distinct slat-canonical
+    non-meets sorted by rendering: a slat-canonical form, recorded as its
+    own, with the tuple recorded as its spine."""
+    x = members[0]
+    for m in members[1:]:
+        x = Meet(x, m)
+    cached = x.__dict__
+    cached["_slat"] = x
+    cached["_members"] = members
+    return x
+
+
 def _sorted_meet(members) -> Expr:
-    """Left-nested meet of the distinct slat-canonical non-meet members,
-    sorted by rendering: the slat-canonical form of their meet, recorded as
-    its own."""
-    c = meet_of(_sorted_members(members))
-    object.__setattr__(c, "_slat", c)
-    return c
+    """_meet_node of the distinct slat-canonical non-meet members, sorted."""
+    return _meet_node(_sorted_members(members))
 
 
 def slat_canonical(e: Expr) -> Expr:
@@ -408,7 +446,7 @@ def slat_canonical(e: Expr) -> Expr:
     elif isinstance(e, Arrow):
         c = Arrow(slat_canonical(e.source), slat_canonical(e.target))
     else:
-        c = _sorted_meet(slat_canonical(m) for m in meet_members(e))
+        c = meet_of(_sorted_members(slat_canonical(m) for m in meet_members(e)))
     object.__setattr__(e, "_slat", c)
     if c is not e:
         object.__setattr__(c, "_slat", c)
@@ -423,48 +461,73 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _merge_cluster(members: list, memo: dict) -> list:
-    """Union the targets of same-source arrow members (reverse dist); merged
-    members are re-pruned since their combined targets may expose further
-    merges."""
+def _merge_cluster(arrows: list, memo: dict) -> list:
+    """Merge the pruned arrows that share a source into one arrow to the
+    meet of their targets (reverse dist); a merged arrow is pruned again,
+    since its combined target may expose further merges."""
     by_source = {}
+    for v in arrows:
+        by_source.setdefault(v.source, []).append(v)
     out = []
-    for m in members:
-        if isinstance(m, Arrow):
-            by_source.setdefault(m.source, []).append(m)
-        else:
-            out.append(m)
     for src, group in by_source.items():
         if len(group) == 1:
             out.append(group[0])
         else:
-            target = prune(_sorted_meet(m for g in group for m in meet_members(g.target)), memo)
-            out.append(prune(Arrow(src, target), memo))
+            target = prune(_sorted_meet([t for g in group for t in _members(g.target)]), memo)
+            out.append(prune(_canonical(Arrow(src, target)), memo))
     return out
 
 
 def _absorbed(arrows: list) -> list:
     """The arrows made redundant by absorption: those whose source spine
-    strictly contains another arrow's source spine, with the same target."""
-    spines = [frozenset(meet_members(v.source)) for v in arrows]
-    return [
-        v
-        for v, vs in zip(arrows, spines)
-        if any(u.target is v.target and us < vs for u, us in zip(arrows, spines))
-    ]
+    strictly contains the source spine of another arrow with the same
+    target.  Only arrows that share a target compare their spines."""
+    out = []
+    for v in arrows:
+        spine = None
+        for u in arrows:
+            if u.target is v.target and u is not v:
+                if spine is None:
+                    spine = _memberset(v.source)
+                if _memberset(u.source) < spine:
+                    out.append(v)
+                    break
+    return out
 
 
 def _prune_members(members, memo: dict) -> tuple:
     """prune's meet step: the member tuple of the pruned meet of the given
-    slat-canonical non-meets.
+    distinct slat-canonical non-meets.
 
-    One pass suffices: pruned sources are fixed points of prune, so the
-    merged arrows keep distinct sources, and dropping creates no new
-    absorption.
+    One pass: each member's pruned form comes from memo, same-source arrows
+    are merged, and the absorbed arrows are dropped.  Pruned sources are
+    fixed points of prune, so the merged arrows keep distinct sources, and
+    dropping creates no new absorption.
     """
-    members = _merge_cluster([prune(m, memo) for m in members], memo)
-    dropped = _absorbed([m for m in members if isinstance(m, Arrow)])
-    return _sorted_members(m for m in members if m not in dropped)
+    out, arrows, sources = [], [], set()
+    merge = False
+    for m in members:
+        p = memo.get(m)
+        if p is None:
+            p = prune(m, memo)
+        if p.__class__ is Arrow:
+            if p.source in sources:
+                merge = True
+            else:
+                sources.add(p.source)
+            arrows.append(p)
+        else:
+            out.append(p)
+    if merge:
+        arrows = _merge_cluster(arrows, memo)
+    if len(arrows) > 1:
+        dropped = _absorbed(arrows)
+        if dropped:
+            arrows = [v for v in arrows if v not in dropped]
+    out += arrows
+    if len(out) == 1:
+        return (out[0],)
+    return _sorted_members(out)
 
 
 def prune(e: Expr, memo: dict | None = None) -> Expr:
@@ -472,19 +535,20 @@ def prune(e: Expr, memo: dict | None = None) -> Expr:
 
     Every step is a sound conversion move, so the result stays inside e's
     congruence class; used to collapse search states quickly.  Results are
-    memoized per subexpression in memo, which callers may share across calls.
+    memoized per subexpression in memo, which callers may share across calls,
+    and each is recorded as its own slat-canonical form.
     """
     if memo is None:
         memo = {}
     result = memo.get(e)
     if result is None:
         c = slat_canonical(e)
-        if isinstance(c, Atom):
+        if c.__class__ is Atom:
             result = c
-        elif isinstance(c, Arrow):
-            result = Arrow(prune(c.source, memo), prune(c.target, memo))
+        elif c.__class__ is Arrow:
+            result = _canonical(Arrow(prune(c.source, memo), prune(c.target, memo)))
         else:
-            result = meet_of(_prune_members(meet_members(c), memo))
+            result = _meet_node(_prune_members(_members(c), memo))
         memo[e] = result
     return result
 
@@ -499,17 +563,18 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     members of one of its own moves.
     """
     out = set()
-    arrows = [m for m in members if isinstance(m, Arrow)]
+    arrows = [m for m in members if m.__class__ is Arrow]
     for u, v in combinations(arrows, 2):
         if u.source is v.source:
-            merged = Arrow(u.source, _sorted_meet(meet_members(u.target) + meet_members(v.target)))
+            merged = _canonical(Arrow(u.source, _sorted_meet(_members(u.target) + _members(v.target))))
             out.add(_sorted_members([m for m in members if m is not u and m is not v] + [merged]))
-    for v in _absorbed(arrows):
-        out.add(tuple(m for m in members if m is not v))
+    if len(arrows) > 1:
+        for v in _absorbed(arrows):
+            out.add(tuple(m for m in members if m is not v))
     for i, m in enumerate(members):
         rest = members[:i] + members[i + 1:]
         for n in _successors(m, witnesses, memo):
-            out.add(_sorted_members(rest + tuple(meet_members(n))))
+            out.add(_sorted_members(rest + _members(n)))
     return out
 
 
@@ -522,29 +587,32 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     searched.  An arrow appends an absorption component from a witness and
     splits one member out of a meet target (with or without retaining the
     original); a maximal meet takes the moves of _member_successors.  A move
-    inside a child is lifted through its parent, and every result is
-    slat-canonical.  Results are memoized per subexpression in memo, so
-    states sharing a subterm share its moves.
+    inside a child is lifted through its parent.  Every result, and every
+    arrow or meet built on the way, is built from slat-canonical parts in
+    canonical order and recorded as its own slat-canonical form.  Results
+    are memoized per subexpression in memo, so states sharing a subterm
+    share its moves.
     """
     out = memo.get(x)
     if out is not None:
         return out
     out = set()
-    if isinstance(x, Arrow):
+    if x.__class__ is Arrow:
         src, tgt = x.source, x.target
-        sources = meet_members(src)
+        sources = _members(src)
         for w in witnesses:
-            out.add(_sorted_meet([x, Arrow(_sorted_meet(sources + meet_members(w)), tgt)]))
-        if isinstance(tgt, Meet):
-            members = meet_members(tgt)
+            out.add(_sorted_meet((x, _canonical(Arrow(_sorted_meet(sources + _members(w)), tgt)))))
+        if tgt.__class__ is Meet:
+            members = _members(tgt)
             for i, y in enumerate(members):
-                rest = members[:i] + members[i + 1:]
-                out.add(_sorted_meet([Arrow(src, y), Arrow(src, meet_of(rest))]))
-                out.add(_sorted_meet([Arrow(src, y), x]))
-        out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
-        out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
-    elif isinstance(x, Meet):
-        out = {meet_of(t) for t in _member_successors(tuple(meet_members(x)), witnesses, memo)}
+                split = _canonical(Arrow(src, y))
+                rest = _meet_node(members[:i] + members[i + 1:])
+                out.add(_sorted_meet((split, _canonical(Arrow(src, rest)))))
+                out.add(_sorted_meet((split, x)))
+        out.update(_canonical(Arrow(n, tgt)) for n in _successors(src, witnesses, memo))
+        out.update(_canonical(Arrow(src, n)) for n in _successors(tgt, witnesses, memo))
+    elif x.__class__ is Meet:
+        out = {_meet_node(t) for t in _member_successors(_members(x), witnesses, memo)}
     out = memo[x] = frozenset(out)
     return out
 
@@ -598,7 +666,7 @@ def convertible_bounded(
     moves = {}
     sides = []
     for root in (a, b):
-        canon = tuple(meet_members(slat_canonical(root)))
+        canon = _members(slat_canonical(root))
         seen = {canon}
         queue = deque([canon])
         p = pruned(canon)

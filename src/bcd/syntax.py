@@ -22,10 +22,11 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse, render, arrow_depth and the depth truncation dept_normal_form each
-run one loop over an explicit stack, and every position operation walks its
-path by one validated descent, _path (a replacement rebuilds that path by
-one loop, _rebuild), so no nesting depth reaches the recursion limit.
+parse, render, the JSON AST conversions, the nodes' repr, arrow_depth and
+the depth truncation dept_normal_form each run one loop over an explicit
+stack, and every position operation walks its path by one validated
+descent, _path (a replacement rebuilds that path by one loop, _rebuild), so
+no nesting depth reaches the recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
 (equiv over two truncations) loads no rewriting code; json is imported only
 when a JSON rendering is asked for.  render caches its text on the node it
@@ -134,8 +135,25 @@ class _Node:
         return _decode, (_encode(self),)
 
     def __repr__(self):
-        args = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
-        return f"{type(self).__name__}({args})"
+        """The constructor call that rebuilds the node, by one loop over an
+        explicit stack of nodes and of finished text, so that a node nested
+        past the recursion limit still has one (InvalidPosition quotes it)."""
+        pieces = []
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if not isinstance(x, _Node):
+                pieces.append(x)
+                continue
+            pieces.append(type(x).__name__ + "(")
+            stack.append(")")
+            fields = x.__slots__
+            for k in range(len(fields) - 1, -1, -1):
+                value = getattr(x, fields[k])
+                stack.append(value if isinstance(value, _Node) else repr(value))
+                if k:
+                    stack.append(", ")
+        return "".join(pieces)
 
 
 class Atom(_Node):
@@ -335,32 +353,58 @@ def _text(e: Expr) -> str:
 
 
 def to_json_obj(e: Expr) -> dict:
-    if isinstance(e, Atom):
-        return {"atom": e.name}
-    if isinstance(e, Arrow):
-        return {"arrow": [to_json_obj(e.source), to_json_obj(e.target)]}
-    return {"meet": [to_json_obj(e.left), to_json_obj(e.right)]}
+    """The JSON AST of e as nested dicts, one fresh dict per occurrence, by
+    one loop over an explicit stack of (node, the dict it fills) pairs."""
+    root = {}
+    stack = [(e, root)]
+    while stack:
+        x, out = stack.pop()
+        if isinstance(x, Atom):
+            out["atom"] = x.name
+            continue
+        if isinstance(x, Arrow):
+            kind, first, second = "arrow", x.source, x.target
+        else:
+            kind, first, second = "meet", x.left, x.right
+        pair = out[kind] = [{}, {}]
+        stack.append((second, pair[1]))
+        stack.append((first, pair[0]))
+    return root
 
 
 def from_json_obj(obj) -> Expr:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"not an expression object: {obj!r}")
-    if "atom" in obj:
-        name = obj["atom"]
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"bad atom name: {name!r}")
-        return Atom(name)
-    if "arrow" in obj:
-        pair = obj["arrow"]
+    """The expression of a JSON AST; raises ValueError on the first malformed
+    object in preorder.  One loop over an explicit stack of flat (item,
+    constructor) pairs: an object to read has no constructor, and a
+    constructor pairs up the last two expressions built."""
+    built = []
+    stack = [obj, None]
+    while stack:
+        cls = stack.pop()
+        x = stack.pop()
+        if cls is not None:
+            second = built.pop()
+            built.append(cls(built.pop(), second))
+            continue
+        if not isinstance(x, dict) or len(x) != 1:
+            raise ValueError(f"not an expression object: {x!r}")
+        if "atom" in x:
+            name = x["atom"]
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"bad atom name: {name!r}")
+            built.append(Atom(name))
+            continue
+        if "arrow" in x:
+            kind, cls = "arrow", Arrow
+        elif "meet" in x:
+            kind, cls = "meet", Meet
+        else:
+            raise ValueError(f"unknown expression node: {x!r}")
+        pair = x[kind]
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError("arrow takes exactly two children")
-        return Arrow(from_json_obj(pair[0]), from_json_obj(pair[1]))
-    if "meet" in obj:
-        pair = obj["meet"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError("meet takes exactly two children")
-        return Meet(from_json_obj(pair[0]), from_json_obj(pair[1]))
-    raise ValueError(f"unknown expression node: {obj!r}")
+            raise ValueError(f"{kind} takes exactly two children")
+        stack += (None, cls, pair[1], None, pair[0], None)
+    return built[0]
 
 
 def render(e: Expr, format: str = "ascii") -> str:

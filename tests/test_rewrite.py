@@ -34,7 +34,7 @@ from bcd.rewrite import (
     redexes,
     slat_canonical,
 )
-from bcd import rewrite
+from bcd import rewrite, syntax
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -790,6 +790,85 @@ class TestSearchMatchesReference:
         for a, b in rng.sample(pairs, 100):
             expanded += self.check(monkeypatch, a, b, budget=15)[1]
         assert expanded > 1_000
+
+
+def _reference_slat(e: Expr) -> Expr:
+    """slat_canonical without its node cache: each meet spine flattened,
+    deduplicated, sorted by rendering and left-nested, inside arrows too."""
+    if isinstance(e, Atom):
+        return e
+    if isinstance(e, Arrow):
+        return Arrow(_reference_slat(e.source), _reference_slat(e.target))
+    return meet_of(sorted({_reference_slat(m) for m in meet_members(e)}, key=render))
+
+
+class TestNodeCaches:
+    """The search and prune record facts on the nodes they build: a node
+    marked as its own slat-canonical form must be one, and a cached spine
+    must be the node's spine.  Every node published while the searches run
+    is kept alive, and then every live node is checked."""
+
+    @staticmethod
+    def _keep_built(monkeypatch) -> list:
+        built = []
+        publish = syntax._publish
+
+        def recording(key, node):
+            node = publish(key, node)
+            built.append(node)
+            return node
+
+        monkeypatch.setattr(syntax, "_publish", recording)
+        return built
+
+    @staticmethod
+    def _check_live_nodes() -> tuple:
+        marked = spines = 0
+        for ref in list(syntax._table.values()):
+            node = ref()
+            if node is None:
+                continue
+            cached = node.__dict__
+            if cached.get("_slat") is node:
+                assert _reference_slat(node) is node, render(node)
+                marked += 1
+            if "_members" in cached:
+                assert cached["_members"] == tuple(meet_members(node)), render(node)
+                spines += 1
+            if "_memberset" in cached:
+                assert cached["_memberset"] == frozenset(meet_members(node)), render(node)
+        return marked, spines
+
+    def test_criterion_02_searches(self, monkeypatch):
+        built = self._keep_built(monkeypatch)
+        universe = all_exprs(("@", "p"), 4)
+        cache = DecisionCache()
+        memo = {}
+        for i, a in enumerate(universe):
+            for b in universe[i:]:
+                if cache.equiv(a, b):
+                    if convertible_bounded(a, b, budget=200, memo=memo) is not Verdict.CONFIRMED:
+                        convertible_bounded(a, b, budget=10_000, memo=memo)
+                else:
+                    convertible_bounded(a, b, budget=15, memo=memo)
+        marked, spines = self._check_live_nodes()
+        assert built and marked > 1_000 and spines > 1_000
+
+    def test_random_states(self, monkeypatch):
+        built = self._keep_built(monkeypatch)
+        rng = random.Random(151)
+        states = _random_states(rng, 1000)
+        for k in range(0, len(states), 20):
+            group = states[k:k + 20]
+            witnesses = _seeded_pool(rng, group[0])
+            moves, memo = {}, {}
+            for state in group:
+                for s in (state, prune(state, memo)):
+                    for n in _successors(s, witnesses, moves):
+                        prune(n, memo)
+            convertible_bounded(group[0], group[1], budget=20, witnesses=witnesses)
+        marked, spines = self._check_live_nodes()
+        assert built and marked > 10_000 and spines > 10_000
 
 
 class TestCountedRedexes:

@@ -910,6 +910,15 @@ _GUARDED = {
         lambda e, pos: strictly_positive_atom_positions(e),
         lambda r, e, pos: len(r) == 2001 and pos in r,  # b beside each meet step
     ),
+    "to_json_obj": (
+        _DEEP, _EVERY_STEP, lambda e, pos: to_json_obj(e), lambda r, e, pos: from_json_obj(r) is e
+    ),
+    "from_json_obj": (
+        _DEEP,
+        _EVERY_STEP,
+        lambda e, pos: from_json_obj(to_json_obj(e)),
+        lambda r, e, pos: r is e,
+    ),
 }
 
 
@@ -920,8 +929,7 @@ class TestNothingRecurses:
 
     subexpressions and strictly_positive_atom_positions build one position
     tuple per node, so they get a 3,000-deep nest: a 10^5 one would need
-    about 5 * 10^9 tuple entries.  to_json_obj and from_json_obj are the
-    only recursive functions left in the module (with the nodes' repr)."""
+    about 5 * 10^9 tuple entries.  The nodes' repr is guarded below."""
 
     @pytest.mark.parametrize("name", sorted(_GUARDED))
     def test_deep_input_at_recursion_limit_1000(self, name):
@@ -936,4 +944,128 @@ class TestNothingRecurses:
             if callable(f) and getattr(f, "__module__", None) == syntax.__name__
             and not name.startswith("_") and not isinstance(f, type)
         }
-        assert public == set(_GUARDED) | {"to_json_obj", "from_json_obj"}
+        assert public == set(_GUARDED)
+
+    def test_repr_at_recursion_limit_1000(self):
+        e, _ = _nest(_DEEP, (ARROW_TARGET,))
+        text = _at_limit_1000(repr, e)
+        assert text == "Arrow(Atom('b'), " * _DEEP + "Atom('a')" + ")" * _DEEP
+
+    def test_a_bad_step_at_a_deep_node_is_an_invalid_position(self):
+        e, _ = _nest(3001, (ARROW_TARGET,))
+        with pytest.raises(InvalidPosition) as caught:
+            _at_limit_1000(node_at, e, (MEET_LEFT,))
+        assert str(caught.value) == f"step 'left' does not apply at {e!r}"
+
+
+# The nodes' repr and the JSON conversions as they were when they recursed,
+# verbatim apart from their names (and repr recursing into itself).
+def _reference_repr(self):
+    args = ", ".join(
+        (_reference_repr if isinstance(v, syntax._Node) else repr)(v)
+        for v in (getattr(self, f) for f in self.__slots__)
+    )
+    return f"{type(self).__name__}({args})"
+
+
+def _reference_to_json_obj(e):
+    if isinstance(e, Atom):
+        return {"atom": e.name}
+    if isinstance(e, Arrow):
+        return {"arrow": [_reference_to_json_obj(e.source), _reference_to_json_obj(e.target)]}
+    return {"meet": [_reference_to_json_obj(e.left), _reference_to_json_obj(e.right)]}
+
+
+def _reference_from_json_obj(obj):
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(f"not an expression object: {obj!r}")
+    if "atom" in obj:
+        name = obj["atom"]
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"bad atom name: {name!r}")
+        return Atom(name)
+    if "arrow" in obj:
+        pair = obj["arrow"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("arrow takes exactly two children")
+        return Arrow(_reference_from_json_obj(pair[0]), _reference_from_json_obj(pair[1]))
+    if "meet" in obj:
+        pair = obj["meet"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("meet takes exactly two children")
+        return Meet(_reference_from_json_obj(pair[0]), _reference_from_json_obj(pair[1]))
+    raise ValueError(f"unknown expression node: {obj!r}")
+
+
+_MALFORMED = (
+    None, 3, "a", [], ["atom", "a"], {}, {"atom": "a", "meet": []}, {"atom": ""},
+    {"atom": 3}, {"atom": None}, {"arrow": []}, {"arrow": [{"atom": "a"}]},
+    {"meet": ({"atom": "a"}, {"atom": "b"})}, {"meet": "ab"}, {"join": []}, {"Atom": "a"},
+)
+
+
+def _corrupt(rng, obj):
+    """A deep copy of a JSON AST with one, two or three of its objects
+    replaced by malformed ones."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        holders, stack = [], [obj]
+        while stack:
+            x = stack.pop()
+            for pair in x.values():
+                if isinstance(pair, list) and len(pair) == 2 and all(isinstance(c, dict) for c in pair):
+                    holders += [(pair, 0), (pair, 1)]
+                    stack += pair
+        if not holders:
+            return rng.choice(_MALFORMED)
+        pair, k = rng.choice(holders)
+        pair[k] = rng.choice(_MALFORMED)
+    return obj
+
+
+def _outcome_of(fn, arg):
+    try:
+        return fn(arg)
+    except Exception as exc:  # noqa: BLE001 -- the type and message are the pin
+        return type(exc), str(exc)
+
+
+class TestReprAndJsonMatchTheRecursiveCode:
+    """repr, to_json_obj and from_json_obj are one loop each, with the text,
+    objects, results and error messages of the recursive code."""
+
+    def test_seeded_trees(self):
+        rng = random.Random(15)
+        for _ in range(3000):
+            e = random_expr(rng, rng.randint(1, 40), atoms=("a", "b", "@", "q'x"))
+            assert repr(e) == _reference_repr(e)
+            obj = to_json_obj(e)
+            assert obj == _reference_to_json_obj(e)
+            assert from_json_obj(obj) is _reference_from_json_obj(obj) is e
+
+    def test_fresh_dicts_for_every_occurrence(self):
+        obj = to_json_obj(Meet(A, A))
+        first, second = obj["meet"]
+        assert first == second and first is not second
+
+    def test_non_string_fields(self):
+        for e in (Arrow(1, "x"), Meet(Atom(7), (A, B)), Atom(("a", 1))):
+            assert repr(e) == _reference_repr(e)
+            assert _outcome_of(to_json_obj, e) == _outcome_of(_reference_to_json_obj, e)
+
+    def test_malformed_objects(self):
+        rng = random.Random(16)
+        messages = set()
+        for obj in _MALFORMED:
+            assert _outcome_of(from_json_obj, obj) == _outcome_of(_reference_from_json_obj, obj)
+        for _ in range(3000):
+            e = random_expr(rng, rng.randint(1, 25), atoms=("a", "b", "@"))
+            obj = _corrupt(rng, to_json_obj(e))
+            want = _outcome_of(_reference_from_json_obj, obj)
+            assert _outcome_of(from_json_obj, obj) == want
+            if isinstance(want, tuple):
+                messages.add(want[1].split(":")[0])
+        assert messages >= {
+            "not an expression object", "bad atom name", "arrow takes exactly two children",
+            "meet takes exactly two children", "unknown expression node",
+        }
