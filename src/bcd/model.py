@@ -5,49 +5,69 @@ by level: level-0 primes are the atoms; level-k primes are the atoms plus all
 arrows between level-(k-1) carrier members; the carrier is every meet of a
 nonempty set of primes, up to congruence.
 
-Each level keys its classes by a bitmask.  The level's units are the
-single-factor types factor_to_expr(f) over the factors of its primes, and
-the mask of an expression has bit b set when it lies below unit b.  By
-factor matching, a type with one factor lies below a meet exactly when it
-lies below one of the operands, so the mask of a meet is the OR of its
-members' masks; and a meet lies below another exactly when its mask
-contains the other's, so two meets are congruent iff their masks are equal.
-The carrier is therefore the OR-closure of the primes' masks, which costs
-|carrier| * |primes| ORs and one decision per (prime, unit) pair; no subset
-of primes is ever visited.
+Each level keys its classes by a bitmask over its units, the single-factor
+types that are the atoms and, at level k, every Arrow(c, u) with c a
+level-(k-1) class and u a level-(k-1) unit: every factor of a level-k prime
+is one of them.  The mask of an expression has bit b set when it lies below
+unit b.  By factor matching, a type with one factor lies below a meet
+exactly when it lies below one of the operands, so the mask of a meet is the
+OR of its members' masks; and a meet lies below another exactly when its
+mask contains the other's, so two meets are congruent iff their masks are
+equal.  The carrier is therefore the OR-closure of the primes' masks, which
+costs |carrier| * |primes| ORs; no subset of primes is ever visited.
+
+No mask needs a decision, since each follows from the masks of the level
+below.  A class is congruent to the meet of the units above it, so class c_k
+lies below class c_i exactly when mask(c_k) contains mask(c_i), and c_j lies
+below unit u_v exactly when bit v of mask(c_j) is set.  Arrow(c_i, c_j) thus
+lies below the unit Arrow(c_k, u_v) iff mask(c_k) contains mask(c_i) and bit
+v of mask(c_j) is set: the prime's mask holds a copy of mask(c_j) in the
+block of every class k below c_i, and each atom's mask is its own bit.
+
+Nor does the projection pi, which maps a level-k class to the level-(k-1)
+class of its truncation at depth k-1.  Truncating a level-k prime at depth
+k-1 gives its atom, @ when k = 1, or else Arrow(t_i, t_j) with t_i the
+depth-(k-2) truncation of c_i, which is congruent to the level-(k-1) prime
+Arrow(prev[pi(i)], prev[pi(j)]).  Truncation commutes with meets and maps
+congruent types to congruent ones, so the closure ORs each prime's truncated
+mask, held above the bits of its own mask, alongside that mask: the classes
+stay the same, and each ends with its projection's mask.
 
 The closure adds the primes one at a time in index order, recording for
-each class the prime subset (bit k for prime k) that first reaches it.  A
-class first reached by prime k has k as the highest prime of its least
-subset, and the first class to reach it while the earlier classes are
-scanned in order carries the least subset below k.  So classes come in the
+each class the prime subset that first reaches it.  A class first reached
+by prime k has k as the highest prime of its least subset, and the first
+class to reach it while the earlier classes are scanned in order carries
+the least subset below k.  So classes come in the
 order of their least prime subset, compared as integers, and each is
 represented by the slat-canonical meet of that subset: the order and
 representatives a walk over all subsets in increasing order would keep.
-The meet table ORs two class masks.  The arrow table needs no per-entry
-decision either: truncating Arrow(c_i, c_j) at depth n gives Arrow(t_i, t_j)
-with t_i the depth-(n-1) truncation of c_i, which is congruent to the
-level-n prime Arrow(prev[pi(i)], prev[pi(j)]), where pi(i) is the previous
-level's class of t_i.  So the table costs one projection pi per class plus
-a lookup per entry.  At depth 0 every arrow is @.
+
+Model.eval reads the tables without building them.  A meet of classes i and
+j is the class of mask(c_i) | mask(c_j).  Truncating Arrow(c_i, c_j) at depth
+n gives Arrow(t_i, t_j), congruent to the level-n prime Arrow(prev[pi(i)],
+prev[pi(j)]); at depth 0 every arrow is @.  meet_table and arrow_table hold
+the same reads for every pair, and are built when first read.
 
 Equality in the depth-n model can be decided without the carrier: truncating
 at depth n is a sound model-preserving reduction, and truncated expressions
 have arrow depth at most n, where model equality and congruence coincide.
 That second path is satisfies_eq, which lives in bcd.decide beside equiv and
 is imported back here, so `bcd sat` loads neither this module nor
-bcd.rewrite; the table-driven path is Model.eval.
+bcd.rewrite.  class_index is a third: it truncates and then asks the decider
+which units lie above, so it shares neither the masks' derivation nor the
+tables with Model.eval.
 
-A built Model is immutable and safe to share and query concurrently.
+A built Model is immutable and safe to share and query concurrently; two
+threads that read a table first at once build equal tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .decide import DecisionCache, LimitExceeded, satisfies_eq  # noqa: F401  (its old path)
-from .factors import factor_to_expr, factors
-from .rewrite import meet_of
 from .syntax import (
     INFINITE_DEPTH,
     TRUNCATION_ATOM,
@@ -87,42 +107,74 @@ def stack_of_twos(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class Model:
-    """Carrier of canonical representatives with meet and arrow tables."""
+    """Carrier of canonical representatives; meet and arrow tables on demand."""
 
     atoms: tuple
     depth: int
     carrier: tuple
-    meet_table: tuple
-    arrow_table: tuple
-    _units: tuple = field(repr=False, compare=False, default=())
-    _by_mask: dict = field(repr=False, compare=False, default_factory=dict)
-    _atom_index: dict = field(repr=False, compare=False, default_factory=dict)
+    # Each class's unit mask, the class of each mask, and each class's
+    # projection; _arrows[p][q] is the class of an arrow between classes
+    # that project to p and q, and _atom_classes the class of each atom.
+    _masks: tuple = field(repr=False, compare=False)
+    _by_mask: dict = field(repr=False, compare=False)
+    _proj: tuple = field(repr=False, compare=False)
+    _arrows: tuple = field(repr=False, compare=False)
+    _atom_classes: dict = field(repr=False, compare=False)
+    _units: tuple = field(repr=False, compare=False)
     _cache: DecisionCache = field(repr=False, compare=False, default_factory=DecisionCache)
 
     @property
     def size(self) -> int:
         return len(self.carrier)
 
-    def _check_atoms(self, e: Expr) -> None:
-        unknown = atoms_of(e) - set(self.atoms)
-        if unknown:
-            raise UnknownAtom(f"atoms {sorted(unknown)} not carried by this model")
+    @cached_property
+    def meet_table(self) -> tuple:
+        by_mask, masks = self._by_mask, self._masks
+        return tuple(tuple(by_mask[mi | mj] for mj in masks) for mi in masks)
+
+    @cached_property
+    def arrow_table(self) -> tuple:
+        proj, arrows = self._proj, self._arrows
+        return tuple(tuple(arrows[pi][pj] for pj in proj) for pi in proj)
 
     def eval(self, e: Expr) -> int:
-        """Carrier index of e by structural fold through the tables."""
-        if isinstance(e, Atom):
-            idx = self._atom_index.get(e.name)
-            if idx is None:
-                raise UnknownAtom(f"atom {e.name!r} not carried by this model")
-            return idx
-        if isinstance(e, Meet):
-            return self.meet_table[self.eval(e.left)][self.eval(e.right)]
-        return self.arrow_table[self.eval(e.source)][self.eval(e.target)]
+        """Carrier index of e, folded through the table reads by one loop over
+        an explicit stack.  The atoms' classes seed the values, so a node is
+        combined as soon as both operands have one; operands are walked left
+        first, and a shared subterm is read once."""
+        masks, by_mask, proj, arrows = self._masks, self._by_mask, self._proj, self._arrows
+        value = self._atom_classes.copy()
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            kind = type(x)
+            if kind is Meet:
+                a, b = x.left, x.right
+            elif kind is Arrow:
+                a, b = x.source, x.target
+            elif x in value:
+                stack.pop()
+                continue
+            else:
+                raise UnknownAtom(f"atom {x.name!r} not carried by this model")
+            i = value.get(a)
+            j = value.get(b)
+            if i is None or j is None:
+                if j is None:
+                    stack.append(b)
+                if i is None:
+                    stack.append(a)
+                continue
+            stack.pop()
+            value[x] = by_mask[masks[i] | masks[j]] if kind is Meet else arrows[proj[i]][proj[j]]
+        return value[e]
 
     def class_index(self, e: Expr) -> int:
         """Carrier index of e's congruence class, via truncation and the
-        unit mask; independent of the tables."""
-        self._check_atoms(e)
+        decider's unit mask; independent of the tables."""
+        unknown = atoms_of(e).difference(self.atoms)
+        if unknown:
+            raise UnknownAtom(f"atoms {sorted(unknown)} not carried by this model")
         t = dept_normal_form(e, self.depth)
         return self._by_mask[_unit_mask(self._cache, t, self._units)]
 
@@ -136,30 +188,91 @@ def _unit_mask(cache: DecisionCache, e: Expr, units) -> int:
     return mask
 
 
-def _close_level(cache: DecisionCache, primes: list):
-    """The carrier over primes, as (units, pmask, masks, carrier).
+class _Level(NamedTuple):
+    """One level of the enumeration.
 
-    masks[i] is the unit mask of carrier class i, and carrier[i] its
-    canonical representative.  The primes join the closure one at a time
-    in index order, so each class's least prime subset is the one that
-    first reaches it and the classes come in least-subset order.
+    Bit b of a mask stands for units[b], and the classes come in least-subset
+    order.  proj[i] is the class, on the level below, of class i's
+    truncation; arrows[p][q] is the mask of the truncation, at this level's
+    depth, of an arrow between classes that project to p and q.  Every arrow
+    truncates to @ at depth 0, so at level 0 every class projects to 0 and
+    arrows is [[mask of @]].
     """
-    memo: dict = {}
-    units = tuple(
-        dict.fromkeys(factor_to_expr(f) for p in primes for f in factors(p, memo))
-    )
-    pmask = [_unit_mask(cache, p, units) for p in primes]
-    least = {0: 0}
-    for k, pm in enumerate(pmask):
-        bit = 1 << k
-        for m, s in list(least.items()):
-            least.setdefault(m | pm, s | bit)
-    del least[0]
-    # The primes are distinct slat-canonical non-meets, so the meet of a
-    # subset taken in rendering order is already its slat-canonical form.
+
+    units: tuple  # the unit types
+    pmask: list  # the unit mask of each prime
+    masks: list  # the unit mask of each class
+    carrier: list  # the canonical representative of each class
+    by_mask: dict  # the class of each mask
+    proj: list
+    arrows: list
+
+
+def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
+    """The level above prev (level 0 if prev is None) over the atom types.
+
+    Prime k is atoms[k] or, past them, Arrow(prev.carrier[i],
+    prev.carrier[j]) in row-major order; unit A + k * U + v, for A atoms and
+    U units below, is Arrow(prev.carrier[k], prev.units[v]).  The primes
+    join the closure one at a time in index order, so each class's least
+    prime subset is the one that first reaches it and the classes come in
+    least-subset order.
+    """
+    pmask = [1 << a for a in range(len(atoms))]
+    if prev is None:
+        primes, units, keys = list(atoms), tuple(atoms), pmask
+    else:
+        below, width, base = prev.masks, len(prev.units), len(atoms)
+        primes = atoms + [Arrow(x, y) for x in prev.carrier for y in prev.carrier]
+        units = (*atoms, *(Arrow(c, u) for c in prev.carrier for u in prev.units))
+        for mi in below:
+            # a bit at the block of every class k below class i: the masks
+            # of the classes there are at most width bits, so no carries
+            row = 0
+            for k, mk in enumerate(below):
+                if not mi & ~mk:
+                    row |= 1 << (base + k * width)
+            pmask.extend(mj * row for mj in below)
+        # each prime's truncation, as a mask on the level below: an atom's
+        # is its own bit, the same at every level
+        arrows, proj = prev.arrows, prev.proj
+        trunc = pmask[:base] + [arrows[pi][pj] for pi in proj for pj in proj]
+        keys = [pm | t << len(units) for pm, t in zip(pmask, trunc)]
+    # A class's least subset is stored with bit r for the prime of
+    # rendering rank r, which leaves the classes and their order alone.
     order = sorted(range(len(primes)), key=lambda k: render(primes[k]))
-    carrier = [meet_of(primes[k] for k in order if s >> k & 1) for s in least.values()]
-    return units, pmask, list(least), carrier
+    rank = [0] * len(primes)
+    for r, k in enumerate(order):
+        rank[k] = r
+    least = {0: 0}
+    for k, key in enumerate(keys):
+        bit = 1 << rank[k]
+        for m, s in list(least.items()):
+            least.setdefault(m | key, s | bit)
+    del least[0]
+    full = (1 << len(units)) - 1
+    masks = [key & full for key in least]
+    by_mask = {m: i for i, m in enumerate(masks)}
+    if prev is None:
+        proj = [0] * len(masks)
+        arrows = [[pmask[atoms.index(Atom(TRUNCATION_ATOM))]]]
+    else:
+        proj = [prev.by_mask[key >> len(units)] for key in least]
+        size = len(prev.carrier)
+        arrows = [pmask[base + i * size : base + (i + 1) * size] for i in range(size)]
+    # The primes are distinct slat-canonical non-meets, so the left-nested
+    # meet of a subset in rendering order is already its slat-canonical
+    # form.  Without its last member, that subset is the least subset of an
+    # earlier class (a smaller subset reaching the same mask would give a
+    # smaller one for this class), so each class adds one Meet to a
+    # representative already built.
+    rep = {}
+    for s in least.values():
+        top = s.bit_length() - 1
+        rest = s ^ (1 << top)
+        rep[s] = Meet(rep[rest], primes[order[top]]) if rest else primes[order[top]]
+    carrier = list(rep.values())
+    return _Level(units, pmask, masks, carrier, by_mask, proj, arrows)
 
 
 def build_model(
@@ -170,13 +283,12 @@ def build_model(
     max_depth: int = 1,
     max_candidates: int = 4096,
 ) -> Model:
-    """Enumerate the depth-n carrier over the given atoms and fill the tables.
+    """Enumerate the depth-n carrier over the given atoms.
 
-    Each level closes its primes' unit masks under OR, prime by prime,
-    which orders the classes by least prime subset; the meet table ORs two
-    class masks, and the arrow table reads the class of the level prime
-    Arrow(prev[pi(i)], prev[pi(j)]), where pi projects a class onto the
-    previous level by truncation.  See the module docstring for why.
+    Each level derives its primes' unit masks from the level below and
+    closes them under OR, prime by prime, which orders the classes by least
+    prime subset; no decision is made.  The meet and arrow tables are built
+    when first read.  See the module docstring for why.
 
     Default caps keep the enumeration at desk scale: two atoms, depth one,
     and at most 4096 nonempty prime subsets per level.  That last cap
@@ -198,49 +310,27 @@ def build_model(
             f"depth {depth} exceeds the cap of {max_depth}; override with max_depth"
         )
 
-    cache = DecisionCache()
     atom_exprs = [Atom(a) for a in names]
-    carrier: list = []
-    units: tuple = ()
-    by_mask: dict = {}
-
+    level = None
     for _ in range(depth + 1):
-        primes = atom_exprs + [Arrow(x, y) for x in carrier for y in carrier]
-        count = (1 << len(primes)) - 1
+        prime_count = len(names) + (len(level.carrier) ** 2 if level else 0)
+        count = (1 << prime_count) - 1
         if count > max_candidates:
             raise LimitExceeded(
                 f"{count} candidate meets exceeds the cap of {max_candidates};"
                 " override with max_candidates"
             )
-        prev_units, prev_by_mask, prev_size = units, by_mask, len(carrier)
-        units, pmask, masks, carrier = _close_level(cache, primes)
-        by_mask = {m: i for i, m in enumerate(masks)}
+        level = _close_level(atom_exprs, level)
 
-    size = len(carrier)
-    prime_class = [by_mask[m] for m in pmask]
-    meet_table = tuple(tuple(by_mask[mi | mj] for mj in masks) for mi in masks)
-    if depth == 0:
-        arrow_table = ((prime_class[names.index(TRUNCATION_ATOM)],) * size,) * size
-    else:
-        proj = [
-            prev_by_mask[_unit_mask(cache, dept_normal_form(c, depth - 1), prev_units)]
-            for c in carrier
-        ]
-        base = len(names)
-        arrow_table = tuple(
-            tuple(prime_class[base + pi * prev_size + pj] for pj in proj) for pi in proj
-        )
-    atom_index = {a: prime_class[k] for k, a in enumerate(names)}
-
+    by_mask = level.by_mask
     return Model(
         names,
         depth,
-        tuple(carrier),
-        meet_table,
-        arrow_table,
-        units,
+        tuple(level.carrier),
+        tuple(level.masks),
         by_mask,
-        atom_index,
-        cache,
+        tuple(level.proj),
+        tuple(tuple(by_mask[m] for m in row) for row in level.arrows),
+        {a: by_mask[1 << k] for k, a in enumerate(atom_exprs)},
+        level.units,
     )
-

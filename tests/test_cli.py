@@ -402,6 +402,12 @@ class TestModulesOnTheLePath:
         assert "bcd.model" not in loaded
 
 
+class TestModelVerbModules:
+    def test_model_loads_no_rewriting_code(self):
+        loaded = _loaded_by(["model", "--atoms", "@,p", "--depth", "1", "--tables"])
+        assert loaded == sorted(LE_PATH + ["bcd.model", "dataclasses"])
+
+
 class TestDeepTruncation:
     def test_nf_dept_answers_a_chain_deeper_than_the_limit(self, capsys):
         # the truncation is a loop: at a depth above the chain's it returns

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from bcd.model import (
     LimitExceeded,
     UnknownAtom,
     _close_level,
+    _unit_mask,
     build_model,
     satisfies_eq,
     stack_of_twos,
@@ -219,7 +221,7 @@ class TestCloseLevel:
         atoms = [Atom(a) for a in ("@", "p", "q")]
         level0 = build_model(["@", "p", "q"], 0, max_atoms=3).carrier
         primes = atoms + [Arrow(x, y) for x in level0 for y in level0]
-        _, pmask, masks, carrier = _close_level(DecisionCache(), primes)
+        _, pmask, masks, carrier = _close_level(atoms, _close_level(atoms))[:4]
         assert len(masks) == len(carrier) == 54_871
         assert len(masks) <= stack_of_twos(2, 4)
         subsets = [_reference_least_subset(m, pmask) for m in masks]
@@ -227,6 +229,78 @@ class TestCloseLevel:
         for rep, subset in zip(carrier, subsets):
             members = (primes[k] for k in range(len(primes)) if subset >> k & 1)
             assert rep is slat_canonical(meet_of(members))
+
+
+_SIX = pytest.mark.parametrize(
+    "atoms, depth, caps",
+    [
+        (("@",), 0, {}),
+        (("@",), 1, {}),
+        (("@", "p"), 0, {}),
+        (("@", "p"), 1, {}),
+        (("@",), 2, {"max_depth": 2}),
+        (("@", "p", "q"), 0, {"max_atoms": 3}),
+    ],
+    ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
+)
+
+
+class TestNoDecisionInTheBuild:
+    """build_model derives every mask and projection from the level below,
+    so the tables that criteria 03 and 05 hold against the decider do not
+    come from the decider."""
+
+    @_SIX
+    def test_builds_with_the_decider_refusing(self, monkeypatch, atoms, depth, caps):
+        def refuse(cache, a, b):
+            raise AssertionError(f"build_model asked the decider about {a!r} <= {b!r}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(DecisionCache, "subseteq", refuse)
+            m = build_model(atoms, depth, **caps)
+            meet_table, arrow_table = m.meet_table, m.arrow_table
+            atom_index = {a: m.eval(Atom(a)) for a in m.atoms}
+        reference = _reference_build(atoms, depth)
+        assert len(m.carrier) == len(reference[0])
+        assert all(x is y for x, y in zip(m.carrier, reference[0]))
+        assert (meet_table, arrow_table, atom_index) == reference[1:]
+
+    @pytest.mark.parametrize(
+        "atoms, depth",
+        [(("@",), 2), (("@", "p"), 1), (("@", "p", "q"), 1)],
+        ids=["at-d2", "at_p-d1", "at_p_q-d1"],
+    )
+    def test_every_structural_prime_mask_is_the_deciders(self, atoms, depth):
+        # every bit of every prime's mask, at every level, against
+        # cache.subseteq(prime, unit); below 3 atoms also every class's mask
+        # and projection
+        atom_exprs = [Atom(a) for a in atoms]
+        cache = DecisionCache()
+        level = None
+        for n in range(depth + 1):
+            below = level
+            primes = list(atom_exprs)
+            if below is not None:
+                primes += [Arrow(x, y) for x in below.carrier for y in below.carrier]
+            level = _close_level(atom_exprs, below)
+            assert len(level.pmask) == len(primes)
+            for p, pm in zip(primes, level.pmask):
+                assert pm == _unit_mask(cache, p, level.units)
+            if len(atoms) == 3:
+                continue
+            for c, m, pi in zip(level.carrier, level.masks, level.proj):
+                assert m == _unit_mask(cache, c, level.units)
+                if below is not None:
+                    t = dept_normal_form(c, n - 1)
+                    assert pi == below.by_mask[_unit_mask(cache, t, below.units)]
+
+    def test_lookups_build_no_table(self):
+        m = build_model(["@", "p"], 1)
+        for e in all_exprs(("@", "p"), 5):
+            assert m.eval(e) == m.class_index(e)
+        assert "meet_table" not in vars(m) and "arrow_table" not in vars(m)
+        assert m.meet_table is m.meet_table
+        assert m.arrow_table is m.arrow_table
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +368,15 @@ class TestTables:
                         assert below[mt[at[c][a]][at[c][b]]][at[c][mt[a][b]]]
 
 
+def _at_limit_1000(fn, *args):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestEval:
     def test_atom(self):
         m = build_model(["@"], 1)
@@ -314,6 +397,40 @@ class TestEval:
             m.eval(parse("q"))
         with pytest.raises(UnknownAtom):
             m.class_index(parse("q -> @"))
+
+    def test_leftmost_unknown_atom_is_named(self):
+        m = build_model(["@", "p"], 1)
+        with pytest.raises(UnknownAtom, match="'q'"):
+            m.eval(parse("(p -> q) & r"))
+        with pytest.raises(UnknownAtom, match="'r'"):
+            m.eval(parse("(p -> r) & q"))
+
+    def test_deep_arrow_chain_at_recursion_limit_1000(self):
+        m = build_model(["@"], 1)
+        at = Atom("@")
+        chain = at
+        for _ in range(100_000):
+            chain = Arrow(at, chain)
+        assert m.carrier[_at_limit_1000(m.eval, chain)] is parse("@ -> @")
+        with pytest.raises(UnknownAtom):
+            _at_limit_1000(m.eval, Arrow(chain, Atom("q")))
+
+    def test_deep_meet_spine_at_recursion_limit_1000(self):
+        m = build_model(["@"], 1)
+        member = parse("@ -> @ -> @")
+        spine = Atom("@")
+        for _ in range(100_000):
+            spine = Meet(spine, member)
+        assert m.carrier[_at_limit_1000(m.eval, spine)] is parse("@ & (@ -> @)")
+
+    def test_shared_subterms_are_read_once(self):
+        # 2^64 copies of the member as a tree, 64 meets as a DAG
+        m = build_model(["@", "p"], 1)
+        e = parse("p -> (@ & (p -> @))")
+        member = m.eval(e)
+        for _ in range(64):
+            e = Meet(e, e)
+        assert m.eval(e) == member
 
     def test_eval_matches_class_index_everywhere(self):
         for atoms, depth in ((("@",), 1), (("@", "p"), 0), (("@", "p"), 1)):
