@@ -2,12 +2,14 @@
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
-recursion limit).  Parsing, ascii rendering, depth truncation, arrow depth
-and single rewrite steps never recurse, so `parse` and `nf --kind dept`
-answer at any depth; deciding, factoring, the other normal forms and JSON
-conversion still recurse, and they raise the RecursionError that deep input
-turns into exit 3.  --json switches output to a single JSON object on
-stdout; diagnostics go to stderr.
+recursion limit).  Parsing, ascii rendering, depth truncation, arrow depth,
+factoring and single rewrite steps never recurse, so `parse`, `factors` and
+`nf --kind dept` answer at any depth.  Deciding recurses only through arrow
+sources (a factor's arguments), so `le` and `eq` answer on a right-nested
+chain of any length but not on a deep left-nested one; explanations, the
+other normal forms and json.dumps recurse too.  Each raises the
+RecursionError that deep input turns into exit 3.  --json switches output to
+a single JSON object on stdout; diagnostics go to stderr.
 
 Only syntax, factors and decide are imported here, which is all that `parse`,
 `factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and
@@ -23,7 +25,7 @@ import sys
 import time
 
 from .decide import DecisionCache, LimitExceeded, satisfies_eq, subtype_matrix
-from .factors import factor_to_expr, sorted_factors
+from .factors import factor_groups, sorted_groups
 from .syntax import ParseError, dept_normal_form, parse, render, to_json_obj
 
 
@@ -66,19 +68,21 @@ def _cmd_nf(args) -> int:
 
 def _cmd_factors(args) -> int:
     e = parse(args.expr)
-    fs = sorted_factors(e)
+    groups = sorted_groups(factor_groups(e))
     if args.json:
         _emit(
             {
                 "factors": [
-                    {"args": [to_json_obj(a) for a in f.args], "head": f.head}
-                    for f in fs
+                    {"args": [to_json_obj(a) for a in fargs], "head": head}
+                    for (head, _), pairs in groups.items()
+                    for _, fargs in pairs
                 ]
             }
         )
     else:
-        for f in fs:
-            print(render(factor_to_expr(f)))
+        for pairs in groups.values():
+            for text, _ in pairs:
+                print(text)
     return 0
 
 

@@ -4,16 +4,17 @@ a is below b exactly when every factor of b finds a factor of a with the same
 head atom and the same arity whose arguments dominate pointwise in the
 contravariant direction: the b-side argument must be below the a-side
 argument.  The recursion terminates because factor arguments are proper
-subexpressions, and it needs no prior normalization since the factor
-recursion already distributes arrows over meets.
+subexpressions, and it needs no prior normalization since the factor walk
+already distributes arrows over meets.  Deciding recurses only through arrow
+sources (a factor's arguments); factoring does not recurse at all.
 
 Two implementations are provided: a memoized recursion on subexpression pairs
 (the workhorse), whose cache also builds explanations, and an explicit
 Boolean matrix over the subexpressions of a root, filled once per pair of
 distinct subexpressions in decreasing order of index sum; repeated
-subexpressions share one row.  Both read their factor sets from
-factors.factors; the matrix's fill is its own matching loop, so it stays an
-independent check on the recursion.
+subexpressions share one row.  Both read the (head, arity) groups of
+factors.factor_groups, the cache once per asked node; the matrix's fill is
+its own matching loop, so it stays an independent check on the recursion.
 
 "@" receives no special treatment here, except in satisfies_eq: equality in
 the depth-n model, which by the finite model property is equiv over the two
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .factors import factor_to_expr, factors, sorted_factors
+from .factors import factor_groups, sorted_groups
 from .syntax import INFINITE_DEPTH, Arrow, Expr, Meet, dept_normal_form, render
 
 MATRIX_CAP_BYTES = 10**8
@@ -40,49 +41,45 @@ class LimitExceeded(RuntimeError):
 class DecisionCache:
     """Memo table for subtype queries over a family of related expressions."""
 
-    __slots__ = ("_sub", "_facts", "_grouped")
+    __slots__ = ("_sub", "_groups")
 
     def __init__(self):
         self._sub = {}
-        self._facts = {}
-        self._grouped = {}
+        self._groups = {}  # each asked node's factor_groups
 
     def _group(self, e: Expr) -> dict:
-        g = self._grouped.get(e)
+        g = self._groups.get(e)
         if g is None:
-            g = {}
-            for f in factors(e, self._facts):
-                g.setdefault((f.head, f.arity), []).append(f.args)
-            self._grouped[e] = g
+            g = self._groups[e] = factor_groups(e)
         return g
 
     def subseteq(self, a: Expr, b: Expr) -> bool:
-        key = (a, b)
-        memo = self._sub
-        v = memo.get(key)
-        if v is not None:
-            return v
         if a is b:
-            memo[key] = True
             return True
-        ga = self._group(a)
-        v = True
-        for ha, blists in self._group(b).items():
+        key = (a, b)
+        v = self._sub.get(key)
+        if v is None:
+            v = self._sub[key] = self._matches(self._group(a), self._group(b))
+        return v
+
+    def _matches(self, ga: dict, gb: dict) -> bool:
+        """Every factor of gb finds one in ga of its head and arity whose
+        arguments each lie above the gb factor's argument at that place."""
+        subseteq = self.subseteq
+        for ha, blists in gb.items():
             alist = ga.get(ha)
             if alist is None:
-                v = False
-                break
+                return False
             for bargs in blists:
-                if not any(
-                    all(self.subseteq(bargs[k], aargs[k]) for k in range(len(bargs)))
-                    for aargs in alist
-                ):
-                    v = False
-                    break
-            if not v:
-                break
-        memo[key] = v
-        return v
+                for aargs in alist:
+                    for x, y in zip(bargs, aargs):
+                        if not subseteq(x, y):
+                            break
+                    else:
+                        break
+                else:
+                    return False
+        return True
 
     def equiv(self, a: Expr, b: Expr) -> bool:
         return self.subseteq(a, b) and self.subseteq(b, a)
@@ -93,20 +90,20 @@ class DecisionCache:
         Each factor of b is matched to the first factor of a, in sorted
         order, whose arguments pass subseteq; only that match is expanded.
         """
-        fas = sorted_factors(a, self._facts)
+        sa = sorted_groups(self._group(a))
         obligations = []
-        for fb in sorted_factors(b, self._facts):
-            matched = None
-            for fa in fas:
-                if fa.head == fb.head and fa.arity == fb.arity and all(
-                    self.subseteq(x, y) for x, y in zip(fb.args, fa.args)
-                ):
-                    matched = {
-                        "factor": render(factor_to_expr(fa)),
-                        "args": [self.explain(x, y) for x, y in zip(fb.args, fa.args)],
-                    }
-                    break
-            obligations.append({"factor": render(factor_to_expr(fb)), "matched": matched})
+        for key, pairs in sorted_groups(self._group(b)).items():
+            candidates = sa.get(key, ())
+            for btext, bargs in pairs:
+                matched = None
+                for atext, aargs in candidates:
+                    if all(self.subseteq(x, y) for x, y in zip(bargs, aargs)):
+                        matched = {
+                            "factor": atext,
+                            "args": [self.explain(x, y) for x, y in zip(bargs, aargs)],
+                        }
+                        break
+                obligations.append({"factor": btext, "matched": matched})
         return {
             "sub": render(a),
             "sup": render(b),
@@ -172,12 +169,17 @@ def numbered_factors(root: Expr):
     arguments after it, so an argument's number exceeds its node's: that is
     what lets the matrix fill entries in decreasing order of index sum.
     """
-    _, number, facts = _numbering(root)
+    _, number, groups = _numbering(root)
+    facts = [
+        frozenset((head, args) for (head, _), argss in g.items() for args in argss)
+        for g in groups
+    ]
     return list(number), facts
 
 
 def _numbering(root: Expr):
-    """numbered_factors plus the preorder list; checks MATRIX_CAP_BYTES first."""
+    """The preorder list, the class numbers, and each class's factor groups
+    with arguments as class numbers; checks MATRIX_CAP_BYTES first."""
     exprs = []
     stack = [root]
     while stack:
@@ -191,16 +193,16 @@ def _numbering(root: Expr):
     need = len(number) * (len(number) + len(exprs))
     if need > MATRIX_CAP_BYTES:
         raise LimitExceeded(f"subtype matrix needs {need} bytes; the cap is {MATRIX_CAP_BYTES}")
-    memo = {}
-    for e in reversed(number):  # children first, so each call recurses one level
-        factors(e, memo)
-    facts = [
-        frozenset((f.head, tuple(number[x] for x in f.args)) for f in memo[e]) for e in number
+    at = number.__getitem__
+    groups = [
+        {key: [tuple(map(at, args)) for args in argss] for key, argss in factor_groups(e).items()}
+        for e in number
     ]
-    for idx, fs in enumerate(facts):
-        for _, args in fs:
-            assert all(k > idx for k in args), "factor argument below its node"
-    return exprs, number, facts
+    for idx, g in enumerate(groups):
+        for argss in g.values():
+            for args in argss:
+                assert all(k > idx for k in args), "factor argument below its node"
+    return exprs, number, groups
 
 
 def subtype_matrix(root: Expr) -> SubtypeMatrix:
@@ -212,12 +214,8 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
     occurrences share: k*k + k*n bytes for n nodes, refused with LimitExceeded
     above MATRIX_CAP_BYTES.  Agrees pointwise with subseteq on every pair.
     """
-    exprs, number, facts = _numbering(root)
+    exprs, number, grouped = _numbering(root)
     k = len(number)
-    grouped = [{} for _ in facts]
-    for g, fs in zip(grouped, facts):
-        for head, args in fs:
-            g.setdefault((head, len(args)), []).append(args)
     keysets = [frozenset(g) for g in grouped]
     rows = [bytearray(k) for _ in range(k)]
     for s in range(2 * k - 2, -1, -1):

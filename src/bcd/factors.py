@@ -1,12 +1,13 @@
 """Factors: maximal strictly positive unrollings args(1) -> (... (args(t) -> head) ...).
 
 An expression with no arrow targeting a meet is an intersection of such
-unrollings with atomic heads; the factors recursion extracts them from any
+unrollings with atomic heads; the factor walk extracts them from any
 expression directly, distributing arrow sources over meet targets as it goes.
 Here "@" is not distinguished from other atoms.
 
-`factors` is the package's only factor recursion: the decision cache, the
-subtype matrix and explanations all read factor sets through it.
+`factor_groups` is the package's only factor walk, and it does not recurse:
+the decision cache, the subtype matrix, explanations and `factors` all read
+the (head, arity) groups it returns.
 """
 
 from __future__ import annotations
@@ -25,26 +26,89 @@ class Factor(NamedTuple):
         return len(self.args)
 
 
+def factor_groups(e: Expr) -> dict:
+    """The factors of e as a dict from (head, arity) to argument tuples,
+    without duplicates and in walk order (left operands first).
+
+    One loop over an explicit stack of (node, prefix) states on e's strictly
+    positive spine: a meet passes its prefix to both operands, and an arrow
+    adds its source to the prefix of its target.  A prefix is an interned
+    cons cell, a number standing for (last source, enclosing prefix), so it
+    grows in O(1) and two paths that reach a node with the same sources
+    reach the same state.  Each state is visited once, so a shared subterm
+    stays polynomial and an n-arrow chain costs O(n) time and memory; an
+    atom's arguments are read off its cell once, when it is reached.  The
+    arrows above the first meet are read into a plain list first, so a
+    spine with no meet is one factor and costs no cell.
+    """
+    prefix = []
+    x = e
+    while x.__class__ is Arrow:
+        prefix.append(x.source)
+        x = x.target
+    if x.__class__ is Atom:  # no meet on the spine: one factor
+        return {(x.name, len(prefix)): [tuple(prefix)]}
+    # Cell k <= len(prefix) stands for prefix[:k]; no later state's prefix
+    # is that short, so these cells are never looked up.
+    groups = {}
+    sources = [None, *prefix]  # cell 0 is the empty prefix
+    enclosing = [0, *range(len(prefix))]
+    cells = {}  # (source, enclosing cell) -> cell
+    seen = set()  # the states reached through a meet or an arrow
+    stack = [x, len(prefix)]
+    while stack:
+        c = stack.pop()
+        x = stack.pop()
+        while x.__class__ is Arrow:
+            s = x.source
+            k = cells.get((s, c))
+            if k is None:
+                k = cells[s, c] = len(sources)
+                sources.append(s)
+                enclosing.append(c)
+            x = x.target
+            c = k
+            state = (x, c)
+            if state in seen:
+                break
+            seen.add(state)
+        else:
+            if x.__class__ is Meet:
+                for y in (x.right, x.left):
+                    state = (y, c)
+                    if state not in seen:
+                        seen.add(state)
+                        stack += state
+                continue
+            args = []
+            while c:
+                args.append(sources[c])
+                c = enclosing[c]
+            args.reverse()
+            key = (x.name, len(args))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [tuple(args)]
+            else:
+                group.append(tuple(args))
+    return groups
+
+
 def factors(e: Expr, memo: dict | None = None) -> frozenset:
-    """The factor set of e.
+    """The factor set of e, as Factors built from factor_groups(e).
 
     factors(p) = {p}; factors of a meet is the union over its operands; an
     arrow prepends its source to every factor of its target.  Deduplicated as
-    a set under syntactic equality.  Results are memoized per subexpression in
-    memo, which callers may share across calls on related expressions.
+    a set under syntactic equality.  The set of each asked e is kept in memo,
+    which callers may share across calls.
     """
-    if memo is None:
-        memo = {}
-    fs = memo.get(e)
+    fs = None if memo is None else memo.get(e)
     if fs is None:
-        if isinstance(e, Atom):
-            fs = frozenset([Factor((), e.name)])
-        elif isinstance(e, Meet):
-            fs = factors(e.left, memo) | factors(e.right, memo)
-        else:
-            src = e.source
-            fs = frozenset(Factor((src,) + f.args, f.head) for f in factors(e.target, memo))
-        memo[e] = fs
+        fs = frozenset(
+            Factor(args, head) for (head, _), argss in factor_groups(e).items() for args in argss
+        )
+        if memo is not None:
+            memo[e] = fs
     return fs
 
 
@@ -56,6 +120,27 @@ def factor_to_expr(f: Factor) -> Expr:
     return e
 
 
-def sorted_factors(e: Expr, memo: dict | None = None) -> list:
+def factor_text(args: tuple, head: str) -> str:
+    """render(factor_to_expr(Factor(args, head))), composed from the
+    arguments' renderings without building the factor expression."""
+    texts = [f"({render(a)})" if a.__class__ is Arrow else render(a) for a in args]
+    texts.append(head)
+    return " -> ".join(texts)
+
+
+def sorted_groups(groups: dict) -> dict:
+    """factor_groups output in display order: keys sorted by (head, arity),
+    and each group as (factor text, arguments) pairs sorted by the text."""
+    return {
+        key: sorted((factor_text(args, key[0]), args) for args in groups[key])
+        for key in sorted(groups)
+    }
+
+
+def sorted_factors(e: Expr) -> list:
     """The factors of e in a deterministic order: head, arity, rendered text."""
-    return sorted(factors(e, memo), key=lambda f: (f.head, f.arity, render(factor_to_expr(f))))
+    return [
+        Factor(args, head)
+        for (head, _), pairs in sorted_groups(factor_groups(e)).items()
+        for _, args in pairs
+    ]

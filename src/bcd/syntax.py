@@ -495,18 +495,20 @@ def node_count(e: Expr) -> int:
 
 
 def atoms_of(e: Expr) -> frozenset:
+    """The atom names of e, by one loop that walks each distinct subterm once."""
     names = set()
+    seen = set()
     stack = [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Atom):
+        if x.__class__ is Atom:
             names.add(x.name)
-        elif isinstance(x, Arrow):
-            stack.append(x.source)
-            stack.append(x.target)
-        else:
-            stack.append(x.left)
-            stack.append(x.right)
+        elif x not in seen:
+            seen.add(x)
+            if x.__class__ is Arrow:
+                stack += (x.source, x.target)
+            else:
+                stack += (x.left, x.right)
     return frozenset(names)
 
 
@@ -552,14 +554,17 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
     form), and it is reachable from e by dept steps at the truncated
     positions.  One loop over an explicit stack of (node, arrows above it)
     entries, so no depth reaches the recursion limit; a subterm that the
-    truncation leaves unchanged is returned as it is, without a lookup.
+    truncation leaves unchanged is returned as it is, without a lookup, and
+    each other subterm's truncation is kept per arrow count for the call, so
+    a shared subterm is walked once per count.
     """
     if n == INFINITE_DEPTH:
         return e
     if n < 0:
         raise ValueError("depth must be a natural number")
     done = []  # truncated subterms, in postorder
-    stack = [e, 0]  # flat pairs; an arrow count of -1 rebuilds the node
+    memo = {}  # (node, arrows above it) -> its truncation
+    stack = [e, 0]  # flat pairs; a negative count ~above rebuilds the node
     while stack:
         above = stack.pop()
         x = stack.pop()
@@ -568,9 +573,11 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
             y = done.pop()
             w = done.pop()
             if cls is Arrow:
-                done.append(x if w is x.source and y is x.target else Arrow(w, y))
+                t = x if w is x.source and y is x.target else Arrow(w, y)
             else:
-                done.append(x if w is x.left and y is x.right else Meet(w, y))
+                t = x if w is x.left and y is x.right else Meet(w, y)
+            memo[x, ~above] = t
+            done.append(t)
         elif cls is Atom:
             done.append(x)
         elif cls is Arrow:
@@ -578,13 +585,16 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
                 done.append(_AT)
             elif x.source.__class__ is Atom and x.target.__class__ is Atom:
                 done.append(x)
+            elif (t := memo.get((x, above))) is not None:
+                done.append(t)
             else:
-                above += 1
-                stack += (x, -1, x.target, above, x.source, above)
+                stack += (x, ~above, x.target, above + 1, x.source, above + 1)
         elif x.left.__class__ is Atom and x.right.__class__ is Atom:
             done.append(x)
+        elif (t := memo.get((x, above))) is not None:
+            done.append(t)
         else:
-            stack += (x, -1, x.right, above, x.left, above)
+            stack += (x, ~above, x.right, above, x.left, above)
     return done[0]
 
 

@@ -14,6 +14,9 @@ from bcd.selftest import FULL_SCALE
 
 DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
 LONG_CHAIN = "->".join(["a"] * 25001)
+# ((x -> a) -> a) ... -> a with 25,001 atoms: deciding two of these that
+# differ in x recurses through every source
+LEFT_CHAINS = tuple("(" * 25000 + x + ") -> a" * 25000 for x in "bc")
 
 
 class TestCompare:
@@ -53,26 +56,28 @@ class TestCompare:
 
 
 class TestDeepInput:
-    @pytest.mark.parametrize("text", [LONG_CHAIN], ids=["chain"])
+    @pytest.mark.parametrize("texts", [LEFT_CHAINS], ids=["chain"])
     @pytest.mark.parametrize("verb", ["le", "eq"])
-    def test_refused_with_exit_3(self, capsys, verb, text):
-        assert run([verb, text, "a"]) == 3
+    def test_refused_with_exit_3(self, capsys, verb, texts):
+        assert run([verb, *texts]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "limit exceeded: expression nested too deeply" in err
 
     @pytest.mark.parametrize(
-        "argv,out",
+        "argv,code,out",
         [
-            (["parse", DEEP_PARENS], "a\n"),
-            (["parse", LONG_CHAIN], " -> ".join(["a"] * 25001) + "\n"),
-            (["le", DEEP_PARENS, "a"], "true\n"),
-            (["eq", DEEP_PARENS, "a"], "true\n"),
+            (["parse", DEEP_PARENS], 0, "a\n"),
+            (["parse", LONG_CHAIN], 0, " -> ".join(["a"] * 25001) + "\n"),
+            (["le", DEEP_PARENS, "a"], 0, "true\n"),
+            (["eq", DEEP_PARENS, "a"], 0, "true\n"),
+            (["le", LONG_CHAIN, "a"], 1, "false\n"),
+            (["eq", LONG_CHAIN, "a"], 1, "false\n"),
         ],
-        ids=["parse-parens", "parse-chain", "le-parens", "eq-parens"],
+        ids=["parse-parens", "parse-chain", "le-parens", "eq-parens", "le-chain", "eq-chain"],
     )
-    def test_answered(self, capsys, argv, out):
-        assert run(argv) == 0
+    def test_answered(self, capsys, argv, code, out):
+        assert run(argv) == code
         assert capsys.readouterr().out == out
 
 
