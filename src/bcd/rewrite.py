@@ -437,6 +437,8 @@ def slat_canonical(e: Expr) -> Expr:
     Meet spines are flattened to sets, deduplicated, sorted by rendered
     string, and left-nested; applied recursively inside arrow sources and
     targets.  Idempotent, and invariant under asso/asso_inv/comm/idem steps.
+    A spine is read through its distinct meets, so a shared meet is walked
+    once however often it occurs.
     """
     c = e.__dict__.get("_slat")
     if c is not None:
@@ -446,7 +448,14 @@ def slat_canonical(e: Expr) -> Expr:
     elif isinstance(e, Arrow):
         c = Arrow(slat_canonical(e.source), slat_canonical(e.target))
     else:
-        c = meet_of(_sorted_members(slat_canonical(m) for m in meet_members(e)))
+        seen, stack = set(), [e]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                if x.__class__ is Meet:
+                    stack += (x.left, x.right)
+        c = meet_of(_sorted_members(slat_canonical(m) for m in seen if m.__class__ is not Meet))
     object.__setattr__(e, "_slat", c)
     if c is not e:
         object.__setattr__(c, "_slat", c)

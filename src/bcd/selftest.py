@@ -517,7 +517,7 @@ DESK_SCALE = {
 }
 
 
-def run_criteria(full: bool = True, write=print) -> bool:
+def run_criteria(full: bool = True) -> bool:
     """Run every criterion, print one timed pass/fail line each, return overall result."""
     all_ok = True
     for name, fn, kwargs in FULL_SCALE:
@@ -526,5 +526,5 @@ def run_criteria(full: bool = True, write=print) -> bool:
         start = time.perf_counter()
         ok, detail = fn(**kwargs)
         all_ok = all_ok and ok
-        write(f"{'PASS' if ok else 'FAIL'} {name} ({time.perf_counter() - start:.2f} s): {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({time.perf_counter() - start:.2f} s): {detail}")
     return all_ok

@@ -22,11 +22,14 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse, render, the JSON AST conversions, the nodes' repr, arrow_depth and
-the depth truncation dept_normal_form each run one loop over an explicit
-stack, and every position operation walks its path by one validated
-descent, _path (a replacement rebuilds that path by one loop, _rebuild), so
-no nesting depth reaches the recursion limit.
+parse, render, the JSON AST conversions, the nodes' repr, atoms_of, the
+depth truncation dept_normal_form, subexpressions and
+strictly_positive_atom_positions (which never enters an arrow source) each
+run one loop over an explicit stack; pickling, node_count and arrow_depth
+are one fold, _fold, linear in distinct subterms; and every position
+operation walks its path by one validated descent, _path (a replacement
+rebuilds that path by one loop, _rebuild), so no nesting depth reaches the
+recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
 (equiv over two truncations) loads no rewriting code; json is imported only
 when a JSON rendering is asked for.  render caches its text on the node it
@@ -199,21 +202,36 @@ _SETTERS = {cls: tuple(getattr(cls, f).__set__ for f in cls.__slots__) for cls i
 Expr = Union[Atom, Arrow, Meet]
 
 
-def _encode(root: Expr) -> list:
-    """The distinct nodes under root in postorder, without recursion: an atom
-    as its name, any other node as (class, child index, child index)."""
-    index, out, stack = {}, [], [root]
+def _fold(e: Expr, combine):
+    """The value of e, where each distinct subterm x has the value
+    combine(x, v1, v2) of its operands' values (None, None for an atom), by
+    one loop over an explicit stack, left operand first."""
+    value, stack = {}, [e]
     while stack:
         x = stack[-1]
-        children = [] if isinstance(x, Atom) else [getattr(x, f) for f in x.__slots__]
-        missing = [c for c in children if c not in index]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if x not in index:
-            index[x] = len(out)
-            out.append((type(x), *map(index.get, children)) if children else x.name)
+        if x in value:
+            stack.pop()
+        elif x.__class__ is Atom:
+            value[stack.pop()] = combine(x, None, None)
+        else:
+            first, second = (x.source, x.target) if x.__class__ is Arrow else (x.left, x.right)
+            if first in value and second in value:
+                value[stack.pop()] = combine(x, value[first], value[second])
+            else:
+                stack += (second, first)
+    return value[e]
+
+
+def _encode(root: Expr) -> list:
+    """The distinct nodes under root in postorder: an atom as its name, any
+    other node as (class, child index, child index)."""
+    out = []
+
+    def entry(x, i, j):
+        out.append(x.name if i is None else (x.__class__, i, j))
+        return len(out) - 1
+
+    _fold(root, entry)
     return out
 
 
@@ -480,18 +498,8 @@ def subexpressions(e: Expr) -> list:
 
 
 def node_count(e: Expr) -> int:
-    total = 0
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        total += 1
-        if isinstance(x, Arrow):
-            stack.append(x.source)
-            stack.append(x.target)
-        elif isinstance(x, Meet):
-            stack.append(x.left)
-            stack.append(x.right)
-    return total
+    """The number of nodes of e as a tree, by one step per distinct subterm."""
+    return _fold(e, lambda x, i, j: 1 if i is None else i + j + 1)
 
 
 def atoms_of(e: Expr) -> frozenset:
@@ -524,23 +532,8 @@ def ebb(e: Expr, pos: Position = ()) -> int:
 
 def arrow_depth(e: Expr) -> int:
     """Maximum ebb over all positions; 0 iff the expression has no arrow.
-
-    One loop over an explicit stack, with each distinct subterm's depth
-    kept for the call, so a shared subterm is walked once."""
-    depth = {}
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if x.__class__ is Atom:
-            depth[stack.pop()] = 0
-            continue
-        first, second = (x.source, x.target) if x.__class__ is Arrow else (x.left, x.right)
-        missing = [c for c in (first, second) if c not in depth]
-        if missing:
-            stack += missing
-        else:  # a node on the stack twice costs O(1) the second time
-            depth[stack.pop()] = max(depth[first], depth[second]) + (x.__class__ is Arrow)
-    return depth[e]
+    One step per distinct subterm."""
+    return _fold(e, lambda x, i, j: 0 if i is None else max(i, j) + (x.__class__ is Arrow))
 
 
 _AT = Atom(TRUNCATION_ATOM)  # held here, so a truncation never looks it up

@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -33,3 +35,19 @@ def expr_strategy(atoms=ATOMS, max_leaves=25):
 def big_expr_strategy(atoms=ATOMS):
     # up to 199 nodes
     return expr_strategy(atoms, max_leaves=100)
+
+
+@contextmanager
+def alarm(seconds: float, message: str):
+    """Raise TimeoutError(message) in the block once seconds have passed."""
+
+    def stop(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

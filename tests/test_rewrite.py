@@ -58,7 +58,7 @@ from bcd.syntax import (
 from bcd.gen import all_exprs, random_walk, witness_pool
 from bcd.gen import random_expr as random_expr_local
 
-from conftest import expr_strategy
+from conftest import alarm, expr_strategy
 
 A, B, C, P = Atom("a"), Atom("b"), Atom("c"), Atom("p")
 AT = Atom("@")
@@ -800,6 +800,30 @@ def _reference_slat(e: Expr) -> Expr:
     if isinstance(e, Arrow):
         return Arrow(_reference_slat(e.source), _reference_slat(e.target))
     return meet_of(sorted({_reference_slat(m) for m in meet_members(e)}, key=render))
+
+
+def _shared_nest(levels: int) -> Expr:
+    """Meet(e, e) nested levels deep over e = p -> (@ & (p -> @)): 2^levels
+    copies of e as a tree, levels + 1 distinct meets and arrows as a DAG."""
+    e = parse("p -> (@ & (p -> @))")
+    for _ in range(levels):
+        e = Meet(e, e)
+    return e
+
+
+class TestSlatSharedMeets:
+    """slat_canonical reads a meet spine through its distinct meets."""
+
+    @pytest.mark.parametrize("levels", [12, 13, 14, 15, 16])
+    def test_matches_reference(self, levels):
+        e = _shared_nest(levels)
+        assert slat_canonical(e) is _reference_slat(e)
+
+    def test_deep_nest_answers(self):
+        e = _shared_nest(200)
+        with alarm(10, "slat_canonical walks a shared meet once per copy"):
+            c = slat_canonical(e)
+        assert c is _reference_slat(parse("p -> (@ & (p -> @))"))
 
 
 class TestNodeCaches:

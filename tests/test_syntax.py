@@ -43,7 +43,7 @@ from bcd.syntax import (
     to_json_obj,
 )
 
-from conftest import big_expr_strategy, expr_strategy
+from conftest import alarm, big_expr_strategy, expr_strategy
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -847,6 +847,71 @@ class TestArrowDepthLoop:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestNodeCountLoop:
+    """node_count is the tree count, by one step per distinct subterm."""
+
+    def test_shared_subterms_are_counted_once(self):
+        # 2^66 - 1 nodes as a tree, 66 distinct subterms as a DAG: a walk
+        # that visited every copy would not end, so an alarm stops it
+        e = parse("a -> b")
+        for _ in range(64):
+            e = Meet(e, e)
+        with alarm(10, "node_count walks a shared subterm once per copy"):
+            assert node_count(e) == 2**66 - 1
+
+
+def _reference_strictly_positive_atom_positions(e):
+    """The definition: the atom positions in the preorder of subexpressions
+    with no arrow-source step."""
+    return [pos for pos, x in subexpressions(e) if isinstance(x, Atom) and ARROW_SOURCE not in pos]
+
+
+class TestStrictlyPositiveAtomPositions:
+    """strictly_positive_atom_positions never enters an arrow source, so a
+    source costs no memory however large or shared it is."""
+
+    def test_matches_the_definition(self):
+        rng = random.Random(18)
+        found = 0
+        for _ in range(2000):
+            e = random_expr(rng, rng.randint(1, 41))
+            want = _reference_strictly_positive_atom_positions(e)
+            assert strictly_positive_atom_positions(e) == want
+            found += len(want) > 1
+        assert found > 500
+
+    @staticmethod
+    def _peak(e):
+        """strictly_positive_atom_positions(e) and its peak traced memory."""
+        tracemalloc.start()
+        try:
+            out = strictly_positive_atom_positions(e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_shared_source_is_not_entered(self):
+        # the source holds 2^16 copies of a as a tree: a walk that entered
+        # it would keep 2^17 - 1 positions, about 10 MB
+        source = A
+        for _ in range(16):
+            source = Meet(source, source)
+        out, peak = self._peak(Arrow(source, A))
+        assert out == [(ARROW_TARGET,)]
+        assert peak < 100_000
+
+    def test_deep_source_is_not_entered(self):
+        # positions inside a 3,000-deep left-nested source would hold about
+        # 4.5 * 10^6 steps in all, about 36 MB
+        source = A
+        for _ in range(3000):
+            source = Arrow(source, B)
+        out, peak = self._peak(Arrow(source, A))
+        assert out == [(ARROW_TARGET,)]
+        assert peak < 100_000
 
 
 def _nest(depth: int, steps: tuple):
