@@ -28,11 +28,16 @@ the key alone, so a caller may pass one dict to many searches.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
-caches kept on nodes are functions of the node alone: slat_canonical's and
-the rendering's, and, for the search and prune only, a node's meet-spine
-member tuple and member set.  The search and prune record each arrow or meet
-that they build from slat-canonical parts in canonical order as its own
-slat-canonical form, so that slat_canonical answers it with one lookup.
+caches kept on nodes are functions of the node alone, and none refers back
+to its node: slat_canonical's (True on a node that is its own form, the form
+itself on any other) and the rendering's, and, for the search and prune
+only, a meet's spine member tuple and member set (a non-meet's spine is
+itself alone, and is never stored).  So every node that a parse, a normal
+form, prune or the search builds is freed by reference counting once the
+last reference to it goes, with no collection pass.  The search and prune
+record each arrow or meet that they build from slat-canonical parts in
+canonical order as its own slat-canonical form, so that slat_canonical
+answers it with one lookup.
 """
 
 from __future__ import annotations
@@ -115,8 +120,12 @@ def meet_members(e: Expr) -> list:
 
 
 def _members(e: Expr) -> tuple:
-    """meet_members(e) as a tuple, cached on e: the search and prune ask
-    each node for its spine many times, and the spine is fixed by the node."""
+    """meet_members(e) as a tuple, cached on e when e is a meet: the search
+    and prune ask each node for its spine many times, and the spine is fixed
+    by the node.  A non-meet's spine (e,) is built on demand, since caching
+    it would make e refer to itself."""
+    if e.__class__ is not Meet:
+        return (e,)
     members = e.__dict__.get("_members")
     if members is None:
         members = e.__dict__["_members"] = tuple(meet_members(e))
@@ -124,7 +133,7 @@ def _members(e: Expr) -> tuple:
 
 
 def _memberset(e: Expr) -> frozenset:
-    """The members of e's meet spine as a set, cached on e, for the
+    """The members of the meet e's spine as a set, cached on e, for the
     absorption test."""
     members = e.__dict__.get("_memberset")
     if members is None:
@@ -408,20 +417,21 @@ def _canonical(x: Expr) -> Expr:
     """x, recorded as its own slat-canonical form: for an arrow or meet just
     built from slat-canonical parts in canonical order, so that a later
     slat_canonical(x) is one lookup."""
-    x.__dict__["_slat"] = x
+    x.__dict__["_slat"] = True
     return x
 
 
 def _meet_node(members: tuple) -> Expr:
     """The left-nested meet of a member tuple of distinct slat-canonical
     non-meets sorted by rendering: a slat-canonical form, recorded as its
-    own, with the tuple recorded as its spine."""
+    own, with the tuple recorded as its spine when it is a meet."""
     x = members[0]
     for m in members[1:]:
         x = Meet(x, m)
     cached = x.__dict__
-    cached["_slat"] = x
-    cached["_members"] = members
+    cached["_slat"] = True
+    if len(members) > 1:
+        cached["_members"] = members
     return x
 
 
@@ -442,7 +452,7 @@ def slat_canonical(e: Expr) -> Expr:
     """
     c = e.__dict__.get("_slat")
     if c is not None:
-        return c
+        return e if c is True else c
     if isinstance(e, Atom):
         c = e
     elif isinstance(e, Arrow):
@@ -456,9 +466,9 @@ def slat_canonical(e: Expr) -> Expr:
                 if x.__class__ is Meet:
                     stack += (x.left, x.right)
         c = meet_of(_sorted_members(slat_canonical(m) for m in seen if m.__class__ is not Meet))
-    object.__setattr__(e, "_slat", c)
+    object.__setattr__(c, "_slat", True)
     if c is not e:
-        object.__setattr__(c, "_slat", c)
+        object.__setattr__(e, "_slat", c)
     return c
 
 
@@ -490,15 +500,20 @@ def _merge_cluster(arrows: list, memo: dict) -> list:
 def _absorbed(arrows: list) -> list:
     """The arrows made redundant by absorption: those whose source spine
     strictly contains the source spine of another arrow with the same
-    target.  Only arrows that share a target compare their spines."""
+    target.  Only arrows that share a target compare their spines, and only
+    a meet source can strictly contain a spine; a non-meet source s is
+    contained as a member."""
     out = []
     for v in arrows:
+        if v.source.__class__ is not Meet:
+            continue
         spine = None
         for u in arrows:
             if u.target is v.target and u is not v:
                 if spine is None:
                     spine = _memberset(v.source)
-                if _memberset(u.source) < spine:
+                s = u.source
+                if (_memberset(s) < spine) if s.__class__ is Meet else (s in spine and len(spine) > 1):
                     out.append(v)
                     break
     return out

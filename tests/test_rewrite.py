@@ -828,9 +828,12 @@ class TestSlatSharedMeets:
 
 class TestNodeCaches:
     """The search and prune record facts on the nodes they build: a node
-    marked as its own slat-canonical form must be one, and a cached spine
-    must be the node's spine.  Every node published while the searches run
-    is kept alive, and then every live node is checked."""
+    marked as its own slat-canonical form must be one, a node pointing at
+    its form must point at the right one, and a cached spine, kept on meets
+    only, must be the node's spine.  No cached value is or holds its own
+    node, so that nodes die by reference counting.  Every node published
+    while the searches run is kept alive, and then every live node is
+    checked."""
 
     @staticmethod
     def _keep_built(monkeypatch) -> list:
@@ -853,9 +856,19 @@ class TestNodeCaches:
             if node is None:
                 continue
             cached = node.__dict__
-            if cached.get("_slat") is node:
+            for value in cached.values():
+                assert value is not node, render(node)
+                if isinstance(value, (tuple, frozenset)):
+                    assert node not in value, render(node)
+            slat = cached.get("_slat")
+            if slat is True:
                 assert _reference_slat(node) is node, render(node)
                 marked += 1
+            elif slat is not None:
+                assert _reference_slat(node) is slat, render(node)
+            if node.__class__ is not Meet:
+                assert "_members" not in cached and "_memberset" not in cached, render(node)
+                continue
             if "_members" in cached:
                 assert cached["_members"] == tuple(meet_members(node)), render(node)
                 spines += 1
@@ -876,7 +889,8 @@ class TestNodeCaches:
                 else:
                     convertible_bounded(a, b, budget=15, memo=memo)
         marked, spines = self._check_live_nodes()
-        assert built and marked > 1_000 and spines > 1_000
+        # spines are kept on meets only: this run caches 686
+        assert built and marked > 1_000 and spines > 600
 
     def test_random_states(self, monkeypatch):
         built = self._keep_built(monkeypatch)
@@ -892,7 +906,8 @@ class TestNodeCaches:
                         prune(n, memo)
             convertible_bounded(group[0], group[1], budget=20, witnesses=witnesses)
         marked, spines = self._check_live_nodes()
-        assert built and marked > 10_000 and spines > 10_000
+        # spines are kept on meets only: this run caches 8,120
+        assert built and marked > 10_000 and spines > 8_000
 
 
 class TestCountedRedexes:

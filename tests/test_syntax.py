@@ -13,10 +13,17 @@ import pytest
 from hypothesis import given
 
 from bcd import syntax
-from bcd.decide import explain
+from bcd.decide import equiv, explain
 from bcd.factors import factor_to_expr, sorted_factors
 from bcd.gen import random_expr
-from bcd.rewrite import default_witnesses, prune, slat_canonical
+from bcd.rewrite import (
+    Verdict,
+    convertible_bounded,
+    default_witnesses,
+    dist_normal_form,
+    prune,
+    slat_canonical,
+)
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -678,6 +685,41 @@ class TestInterning:
         gc.collect()
         assert sum(r() is not None for r in refs) == 0
         assert len(syntax._table) == before
+
+    def test_built_nodes_die_without_a_collection(self, monkeypatch):
+        # No node cache refers back to its node, so every node that a parse,
+        # the normal forms, prune and the search build dies by reference
+        # counting alone.
+        built = []
+        publish = syntax._publish
+
+        def recording(key, node):
+            node = publish(key, node)
+            built.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(syntax, "_publish", recording)
+        rng = random.Random(19)
+        text = _tree_text(_tree(rng, 4_001, ("rc_a", "rc_b", "rc_c")))  # 2,001 leaves
+        gc.collect()
+        before = len(syntax._table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            e = parse(text)
+            results = [slat_canonical(e), prune(e), dist_normal_form(e)]
+            a = parse("(rc_a -> rc_b) & (rc_c -> rc_a)")
+            b = parse("(rc_a & rc_c) -> (rc_b & rc_a)")
+            assert not equiv(a, b)
+            assert convertible_bounded(a, b, budget=15) is Verdict.UNKNOWN
+            assert len(built) > 4_001
+            del e, results, a, b
+            assert sum(r() is not None for r in built) == 0
+            assert len(syntax._table) == before
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("first", ["parse", "build"])
     def test_one_publication_per_new_subterm(self, monkeypatch, first):
