@@ -94,22 +94,16 @@ def factor_groups(e: Expr) -> dict:
     return groups
 
 
-def factors(e: Expr, memo: dict | None = None) -> frozenset:
+def factors(e: Expr) -> frozenset:
     """The factor set of e, as Factors built from factor_groups(e).
 
     factors(p) = {p}; factors of a meet is the union over its operands; an
     arrow prepends its source to every factor of its target.  Deduplicated as
-    a set under syntactic equality.  The set of each asked e is kept in memo,
-    which callers may share across calls.
+    a set under syntactic equality.
     """
-    fs = None if memo is None else memo.get(e)
-    if fs is None:
-        fs = frozenset(
-            Factor(args, head) for (head, _), argss in factor_groups(e).items() for args in argss
-        )
-        if memo is not None:
-            memo[e] = fs
-    return fs
+    return frozenset(
+        Factor(args, head) for (head, _), argss in factor_groups(e).items() for args in argss
+    )
 
 
 def factor_to_expr(f: Factor) -> Expr:

@@ -75,6 +75,7 @@ from .syntax import (
     Atom,
     Expr,
     Meet,
+    _ATOM_NAME,
     atoms_of,
     dept_normal_form,
     render,
@@ -297,6 +298,9 @@ def build_model(
     to override.
     """
     names = tuple(sorted(set(atoms)))
+    for a in names:
+        if not (isinstance(a, str) and _ATOM_NAME.fullmatch(a)):
+            raise ValueError(f"bad atom name: {a!r}")
     if TRUNCATION_ATOM not in names:
         raise ValueError(f"model atoms must include {TRUNCATION_ATOM!r}")
     if depth == INFINITE_DEPTH or depth < 0:

@@ -34,10 +34,9 @@ itself on any other) and the rendering's, and, for the search and prune
 only, a meet's spine member tuple and member set (a non-meet's spine is
 itself alone, and is never stored).  So every node that a parse, a normal
 form, prune or the search builds is freed by reference counting once the
-last reference to it goes, with no collection pass.  The search and prune
-record each arrow or meet that they build from slat-canonical parts in
-canonical order as its own slat-canonical form, so that slat_canonical
-answers it with one lookup.
+last reference to it goes, with no collection pass.  slat_canonical is the
+only writer of its cache: the search and prune build their arrows and meets
+from slat-canonical parts in canonical order, and so never ask for a form.
 """
 
 from __future__ import annotations
@@ -413,25 +412,15 @@ def _sorted_members(members) -> tuple:
     return tuple(sorted(set(members), key=render))
 
 
-def _canonical(x: Expr) -> Expr:
-    """x, recorded as its own slat-canonical form: for an arrow or meet just
-    built from slat-canonical parts in canonical order, so that a later
-    slat_canonical(x) is one lookup."""
-    x.__dict__["_slat"] = True
-    return x
-
-
 def _meet_node(members: tuple) -> Expr:
     """The left-nested meet of a member tuple of distinct slat-canonical
-    non-meets sorted by rendering: a slat-canonical form, recorded as its
-    own, with the tuple recorded as its spine when it is a meet."""
+    non-meets sorted by rendering: a slat-canonical form, with the tuple
+    recorded as its spine when it is a meet."""
     x = members[0]
     for m in members[1:]:
         x = Meet(x, m)
-    cached = x.__dict__
-    cached["_slat"] = True
     if len(members) > 1:
-        cached["_members"] = members
+        x.__dict__["_members"] = members
     return x
 
 
@@ -492,8 +481,8 @@ def _merge_cluster(arrows: list, memo: dict) -> list:
         if len(group) == 1:
             out.append(group[0])
         else:
-            target = prune(_sorted_meet([t for g in group for t in _members(g.target)]), memo)
-            out.append(prune(_canonical(Arrow(src, target)), memo))
+            target = _prune(_sorted_meet([t for g in group for t in _members(g.target)]), memo)
+            out.append(_prune(Arrow(src, target), memo))
     return out
 
 
@@ -533,7 +522,7 @@ def _prune_members(members, memo: dict) -> tuple:
     for m in members:
         p = memo.get(m)
         if p is None:
-            p = prune(m, memo)
+            p = _prune(m, memo)
         if p.__class__ is Arrow:
             if p.source in sources:
                 merge = True
@@ -557,23 +546,30 @@ def _prune_members(members, memo: dict) -> tuple:
 def prune(e: Expr, memo: dict | None = None) -> Expr:
     """Normalize by reverse-dist merging and absorption removal, bottom up.
 
-    Every step is a sound conversion move, so the result stays inside e's
-    congruence class; used to collapse search states quickly.  Results are
-    memoized per subexpression in memo, which callers may share across calls,
-    and each is recorded as its own slat-canonical form.
+    Every step is a sound conversion move, so the result, a slat-canonical
+    form, stays inside e's congruence class; used to collapse search states
+    quickly.  Results are memoized per subexpression in memo, which callers
+    may share across calls.
     """
     if memo is None:
         memo = {}
     result = memo.get(e)
     if result is None:
-        c = slat_canonical(e)
+        result = memo[e] = _prune(slat_canonical(e), memo)
+    return result
+
+
+def _prune(c: Expr, memo: dict) -> Expr:
+    """prune of the slat-canonical c."""
+    result = memo.get(c)
+    if result is None:
         if c.__class__ is Atom:
             result = c
         elif c.__class__ is Arrow:
-            result = _canonical(Arrow(prune(c.source, memo), prune(c.target, memo)))
+            result = Arrow(_prune(c.source, memo), _prune(c.target, memo))
         else:
             result = _meet_node(_prune_members(_members(c), memo))
-        memo[e] = result
+        memo[c] = result
     return result
 
 
@@ -590,7 +586,7 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     arrows = [m for m in members if m.__class__ is Arrow]
     for u, v in combinations(arrows, 2):
         if u.source is v.source:
-            merged = _canonical(Arrow(u.source, _sorted_meet(_members(u.target) + _members(v.target))))
+            merged = Arrow(u.source, _sorted_meet(_members(u.target) + _members(v.target)))
             out.add(_sorted_members([m for m in members if m is not u and m is not v] + [merged]))
     if len(arrows) > 1:
         for v in _absorbed(arrows):
@@ -613,9 +609,8 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     original); a maximal meet takes the moves of _member_successors.  A move
     inside a child is lifted through its parent.  Every result, and every
     arrow or meet built on the way, is built from slat-canonical parts in
-    canonical order and recorded as its own slat-canonical form.  Results
-    are memoized per subexpression in memo, so states sharing a subterm
-    share its moves.
+    canonical order, and so is slat-canonical.  Results are memoized per
+    subexpression in memo, so states sharing a subterm share its moves.
     """
     out = memo.get(x)
     if out is not None:
@@ -625,16 +620,16 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
         src, tgt = x.source, x.target
         sources = _members(src)
         for w in witnesses:
-            out.add(_sorted_meet((x, _canonical(Arrow(_sorted_meet(sources + _members(w)), tgt)))))
+            out.add(_sorted_meet((x, Arrow(_sorted_meet(sources + _members(w)), tgt))))
         if tgt.__class__ is Meet:
             members = _members(tgt)
             for i, y in enumerate(members):
-                split = _canonical(Arrow(src, y))
+                split = Arrow(src, y)
                 rest = _meet_node(members[:i] + members[i + 1:])
-                out.add(_sorted_meet((split, _canonical(Arrow(src, rest)))))
+                out.add(_sorted_meet((split, Arrow(src, rest))))
                 out.add(_sorted_meet((split, x)))
-        out.update(_canonical(Arrow(n, tgt)) for n in _successors(src, witnesses, memo))
-        out.update(_canonical(Arrow(src, n)) for n in _successors(tgt, witnesses, memo))
+        out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
+        out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
     elif x.__class__ is Meet:
         out = {_meet_node(t) for t in _member_successors(_members(x), witnesses, memo)}
     out = memo[x] = frozenset(out)

@@ -490,17 +490,17 @@ def criterion_matrix_agreement(roots: int = 100, max_nodes: int = 80, seed: int 
 
 
 FULL_SCALE = [
-    ("01 law suite", criterion_law_suite, {}),
-    ("02 oracle agreement", criterion_oracle_agreement, {}),
-    ("03 finite model property", criterion_finite_model_property, {}),
-    ("04 carrier counts", criterion_carrier_counts, {}),
-    ("05 two-path model agreement", criterion_two_path_agreement, {}),
-    ("06 termination", criterion_termination, {}),
-    ("07 confluence", criterion_confluence, {}),
-    ("08 complete invariants", criterion_complete_invariants, {}),
-    ("09 conservation", criterion_conservation, {}),
-    ("10 scaling", criterion_scaling, {}),
-    ("11 matrix agreement", criterion_matrix_agreement, {}),
+    ("01 law suite", criterion_law_suite),
+    ("02 oracle agreement", criterion_oracle_agreement),
+    ("03 finite model property", criterion_finite_model_property),
+    ("04 carrier counts", criterion_carrier_counts),
+    ("05 two-path model agreement", criterion_two_path_agreement),
+    ("06 termination", criterion_termination),
+    ("07 confluence", criterion_confluence),
+    ("08 complete invariants", criterion_complete_invariants),
+    ("09 conservation", criterion_conservation),
+    ("10 scaling", criterion_scaling),
+    ("11 matrix agreement", criterion_matrix_agreement),
 ]
 
 DESK_SCALE = {
@@ -520,9 +520,8 @@ DESK_SCALE = {
 def run_criteria(full: bool = True) -> bool:
     """Run every criterion, print one timed pass/fail line each, return overall result."""
     all_ok = True
-    for name, fn, kwargs in FULL_SCALE:
-        if not full:
-            kwargs = {**kwargs, **DESK_SCALE.get(name, {})}
+    for name, fn in FULL_SCALE:
+        kwargs = {} if full else DESK_SCALE.get(name, {})
         start = time.perf_counter()
         ok, detail = fn(**kwargs)
         all_ok = all_ok and ok

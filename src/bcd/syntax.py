@@ -31,11 +31,12 @@ operation walks its path by one validated descent, _path (a replacement
 rebuilds that path by one loop, _rebuild), so no nesting depth reaches the
 recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
-(equiv over two truncations) loads no rewriting code; json is imported only
-when a JSON rendering is asked for.  render caches its text on the node it
-was asked for and on no subterm: rendering a chain keeps one string, not
-one per suffix, so its memory stays linear in the text.  A subterm that was
-itself rendered earlier lends its cached text whole.
+(equiv over two truncations) loads no rewriting code; the module imports
+no json (the CLI dumps to_json_obj's objects itself).  render caches its
+text on the node it was asked for and on no subterm: rendering a chain
+keeps one string, not one per suffix, so its memory stays linear in the
+text.  A subterm that was itself rendered earlier lends its cached text
+whole.
 
 All values are immutable after construction and every operation here is pure,
 so the module is safe for unsynchronized concurrent use.  Interning is too: a
@@ -252,6 +253,7 @@ class Polarity(Enum):
 # Parsing
 
 _TOKEN = re.compile(r"->|[&()@]|[a-z][a-zA-Z0-9_]*")
+_ATOM_NAME = re.compile(r"@|[a-z][a-zA-Z0-9_]*")  # a name that parse reads back
 # The first character that no token starts or continues: a word character
 # that does not follow one and is no lowercase letter starts no atom, and a
 # '-' or '>' that is not half of "->" starts or continues no arrow.  Each
@@ -425,22 +427,16 @@ def from_json_obj(obj) -> Expr:
     return built[0]
 
 
-def render(e: Expr, format: str = "ascii") -> str:
-    """Render with minimal parenthesization ("ascii") or as a JSON AST ("json").
+def render(e: Expr) -> str:
+    """Render with minimal parenthesization.
 
     parse(render(e)) == e for every expression.
     """
-    if format == "ascii":
-        text = getattr(e, "_text", None)
-        if text is None:
-            text = _text(e)
-            object.__setattr__(e, "_text", text)
-        return text
-    if format == "json":
-        import json
-
-        return json.dumps(to_json_obj(e))
-    raise ValueError(f"unknown format {format!r}")
+    text = getattr(e, "_text", None)
+    if text is None:
+        text = _text(e)
+        object.__setattr__(e, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,12 @@ class TestModelVerb:
     def test_missing_truncation_atom(self, capsys):
         assert run(["model", "--atoms", "p", "--depth", "0"]) == 2
 
+    @pytest.mark.parametrize("atoms", ["@,A", "@,9", "@,a b", "@,x)"])
+    def test_bad_atom_name_exit_2(self, capsys, atoms):
+        assert run(["model", "--atoms", atoms, "--depth", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad atom name")
+
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -220,7 +226,7 @@ class TestSelftest:
         assert run(["selftest"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == len(FULL_SCALE)
-        for line, (name, _, _) in zip(lines, FULL_SCALE):
+        for line, (name, _) in zip(lines, FULL_SCALE):
             assert line.startswith(f"PASS {name} (")
 
 

@@ -256,9 +256,7 @@ def _reference_numbered_factors(root):
         elif isinstance(e, Meet):
             stack += (e.right, e.left)
     last = {x: i for i, x in enumerate(exprs)}
-    memo = {}
-    for e in reversed(exprs):  # children first, so each call recurses one level
-        factors(e, memo)
+    memo = {e: factors(e) for e in set(exprs)}
     facts = [
         frozenset((f.head, tuple(last[x] for x in f.args)) for f in memo[e]) for e in exprs
     ]

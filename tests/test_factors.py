@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from bcd.decide import DecisionCache
 from bcd.factors import Factor, factor_to_expr, factors
-from bcd.gen import random_expr, random_strictly_positive_step
+from bcd.gen import random_strictly_positive_step
 from bcd.rewrite import dist_normal_form, slat_canonical
 from bcd.syntax import (
     ARROW_TARGET,
@@ -42,17 +42,6 @@ class TestFactors:
 
     def test_dedup(self):
         assert factors(parse("p & p")) == {Factor((), "p")}
-
-    def test_shared_memo_matches_fresh_calls(self):
-        rng = random.Random(61)
-        base = [random_expr(rng, rng.randint(1, 25)) for _ in range(20)]
-        family = base + [
-            rng.choice((Arrow, Meet))(rng.choice(base), rng.choice(base)) for _ in range(60)
-        ]
-        memo = {}
-        for e in family:
-            assert factors(e, memo) == factors(e)
-        assert all(memo[e] == factors(e) for e in family)
 
     @given(expr_strategy())
     def test_args_are_subexpressions(self, e):

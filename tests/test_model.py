@@ -18,7 +18,7 @@ from bcd.model import (
     stack_of_twos,
 )
 from bcd.rewrite import dept_normal_form, meet_of, slat_canonical
-from bcd.syntax import Arrow, Atom, Meet, arrow_depth, atoms_of, parse
+from bcd.syntax import Arrow, Atom, Meet, arrow_depth, atoms_of, parse, render
 
 from conftest import expr_strategy
 
@@ -107,6 +107,16 @@ class TestBuildModel:
     def test_requires_truncation_atom(self):
         with pytest.raises(ValueError):
             build_model(["p"], 0)
+
+    @pytest.mark.parametrize("name", ["A", "a b", "->", "x)", "9", "_a", "a'", "", "@@", "a\n"])
+    def test_rejects_names_parse_cannot_read(self, name):
+        # every carrier line is rendered text that parse must read back
+        with pytest.raises(ValueError, match="bad atom name"):
+            build_model(["@", name], 0)
+
+    def test_accepts_a_name_with_every_character_class(self):
+        m = build_model(["@", "x_Y9"], 0)
+        assert [parse(render(e)) for e in m.carrier] == list(m.carrier)
 
     def test_limits(self):
         with pytest.raises(LimitExceeded):
