@@ -120,7 +120,7 @@ def _cmd_model(args) -> int:
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
     caps = {
         cap: getattr(args, cap)
-        for cap in ("max_atoms", "max_depth", "max_candidates")
+        for cap in ("max_atoms", "max_depth")
         if getattr(args, cap) is not None
     }
     model = build_model(atoms, args.depth, **caps)
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-atoms", type=int)
     p.add_argument("--max-depth", type=int)
-    p.add_argument("--max-candidates", type=int)
 
     p = sub.add_parser("bench", help="time the subtype matrix on random instances")
     p.add_argument("--sizes", default="200,400,800,1600")

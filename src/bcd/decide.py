@@ -161,25 +161,15 @@ class SubtypeMatrix(NamedTuple):
         return bool(self.bits[i][j])
 
 
-def numbered_factors(root: Expr):
-    """Class list plus per-class factor sets whose arguments are class numbers.
+def _numbering(root: Expr):
+    """The preorder list, the class numbers, and each class's factor groups
+    with arguments as class numbers; checks MATRIX_CAP_BYTES first.
 
     A class is a distinct subexpression, numbered in order of its last
     preorder occurrence.  Each occurrence of a node contains its factor
     arguments after it, so an argument's number exceeds its node's: that is
     what lets the matrix fill entries in decreasing order of index sum.
     """
-    _, number, groups = _numbering(root)
-    facts = [
-        frozenset((head, args) for (head, _), argss in g.items() for args in argss)
-        for g in groups
-    ]
-    return list(number), facts
-
-
-def _numbering(root: Expr):
-    """The preorder list, the class numbers, and each class's factor groups
-    with arguments as class numbers; checks MATRIX_CAP_BYTES first."""
     exprs = []
     stack = [root]
     while stack:
@@ -208,7 +198,7 @@ def _numbering(root: Expr):
 def subtype_matrix(root: Expr) -> SubtypeMatrix:
     """Fill the full subexpression-pair matrix of the root.
 
-    Entries are computed over the k classes of numbered_factors in decreasing
+    Entries are computed over the k classes of _numbering in decreasing
     order of index sum i+j, each decided by factor matching over already-filled
     deeper pairs, and each class row is expanded once to the preorder row its
     occurrences share: k*k + k*n bytes for n nodes, refused with LimitExceeded

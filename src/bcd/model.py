@@ -51,11 +51,10 @@ the same reads for every pair, and are built when first read.
 Equality in the depth-n model can be decided without the carrier: truncating
 at depth n is a sound model-preserving reduction, and truncated expressions
 have arrow depth at most n, where model equality and congruence coincide.
-That second path is satisfies_eq, which lives in bcd.decide beside equiv and
-is imported back here, so `bcd sat` loads neither this module nor
-bcd.rewrite.  class_index is a third: it truncates and then asks the decider
-which units lie above, so it shares neither the masks' derivation nor the
-tables with Model.eval.
+That second path is satisfies_eq, which lives in bcd.decide beside equiv, so
+`bcd sat` loads neither this module nor bcd.rewrite.  class_index is a
+third: it truncates and then asks the decider which units lie above, so it
+shares neither the masks' derivation nor the tables with Model.eval.
 
 A built Model is immutable and safe to share and query concurrently; two
 threads that read a table first at once build equal tables.
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .decide import DecisionCache, LimitExceeded, satisfies_eq  # noqa: F401  (its old path)
+from .decide import DecisionCache, LimitExceeded
 from .syntax import (
     INFINITE_DEPTH,
     TRUNCATION_ATOM,
@@ -82,6 +81,7 @@ from .syntax import (
 )
 
 _OVERFLOW_CAP = 1_000_000
+CARRIER_CAP = 1 << 16  # classes of one level
 
 
 class UnknownAtom(ValueError):
@@ -250,6 +250,11 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
         bit = 1 << rank[k]
         for m, s in list(least.items()):
             least.setdefault(m | key, s | bit)
+        if len(least) > CARRIER_CAP + 1:
+            raise LimitExceeded(
+                f"{len(least) - 1} classes after {k + 1} of {len(keys)} primes"
+                f" exceeds the carrier cap of {CARRIER_CAP}"
+            )
     del least[0]
     full = (1 << len(units)) - 1
     masks = [key & full for key in least]
@@ -276,14 +281,7 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
     return _Level(units, pmask, masks, carrier, by_mask, proj, arrows)
 
 
-def build_model(
-    atoms,
-    depth: int,
-    *,
-    max_atoms: int = 2,
-    max_depth: int = 1,
-    max_candidates: int = 4096,
-) -> Model:
+def build_model(atoms, depth: int, *, max_atoms: int = 2, max_depth: int = 1) -> Model:
     """Enumerate the depth-n carrier over the given atoms.
 
     Each level derives its primes' unit masks from the level below and
@@ -291,11 +289,11 @@ def build_model(
     prime subset; no decision is made.  The meet and arrow tables are built
     when first read.  See the module docstring for why.
 
-    Default caps keep the enumeration at desk scale: two atoms, depth one,
-    and at most 4096 nonempty prime subsets per level.  That last cap
-    checks 2**k - 1 for k primes, an upper bound on the carrier size; the
-    closure itself never visits the subsets.  Pass larger caps explicitly
-    to override.
+    Default caps keep the enumeration at desk scale: two atoms and depth
+    one; pass larger caps explicitly to override.  Whatever the caps, a
+    level of more than CARRIER_CAP classes is refused with LimitExceeded:
+    before its primes are built when they alone outnumber the cap, and
+    otherwise from inside the closure.
     """
     names = tuple(sorted(set(atoms)))
     for a in names:
@@ -317,13 +315,10 @@ def build_model(
     atom_exprs = [Atom(a) for a in names]
     level = None
     for _ in range(depth + 1):
-        prime_count = len(names) + (len(level.carrier) ** 2 if level else 0)
-        count = (1 << prime_count) - 1
-        if count > max_candidates:
-            raise LimitExceeded(
-                f"{count} candidate meets exceeds the cap of {max_candidates};"
-                " override with max_candidates"
-            )
+        # the primes are pairwise non-congruent, so each is a class of its own
+        primes = len(names) + (len(level.carrier) ** 2 if level else 0)
+        if primes > CARRIER_CAP:
+            raise LimitExceeded(f"{primes} primes exceeds the carrier cap of {CARRIER_CAP}")
         level = _close_level(atom_exprs, level)
 
     by_mask = level.by_mask

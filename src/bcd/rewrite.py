@@ -16,8 +16,8 @@ occurrences.  One predicate tests every rule's redex, restricted or not, for
 the listing, for a single step and for the counted walk alike.  absp is
 generative (its C is arbitrary), so it never takes part in normalization; it
 appears only in the bounded conversion search, with witnesses drawn from a
-finite pool.  The dept normal form, a plain depth truncation, lives in
-bcd.syntax and is imported back here.
+finite pool.  The dept normal form, a plain depth truncation, is
+bcd.syntax's dept_normal_form.
 
 The conversion search holds each top-level state as the tuple of its meet
 members (distinct slat-canonical non-meets, sorted by rendering), so it never
@@ -62,7 +62,6 @@ from .syntax import (
     render,
     subexpressions,
 )
-from .syntax import INFINITE_DEPTH, dept_normal_form  # noqa: F401  (their old import path)
 
 RULE_KINDS = ("asso", "asso_inv", "comm", "idem", "absp", "dist", "dept")
 

@@ -12,7 +12,7 @@ import time
 from collections import Counter
 
 from .bench import fitted_exponent, scaling_run, time_decision
-from .decide import DecisionCache, subtype_matrix
+from .decide import DecisionCache, satisfies_eq, subtype_matrix
 from .factors import factors
 from .gen import (
     all_exprs,
@@ -21,7 +21,7 @@ from .gen import (
     random_walk,
     witness_pool,
 )
-from .model import build_model, satisfies_eq, stack_of_twos
+from .model import build_model, stack_of_twos
 from .rewrite import (
     ASSO,
     ASSO_INV,
@@ -35,11 +35,20 @@ from .rewrite import (
     convertible_bounded,
     count_restricted,
     dept,
-    dept_normal_form,
     redexes,
     slat_canonical,
 )
-from .syntax import Arrow, Expr, Meet, arrow_depth, node_count, parse, render, subexpressions
+from .syntax import (
+    Arrow,
+    Expr,
+    Meet,
+    arrow_depth,
+    dept_normal_form,
+    node_count,
+    parse,
+    render,
+    subexpressions,
+)
 
 
 def criterion_law_suite(samples: int = 1000, max_nodes: int = 30, seed: int = 101):
@@ -223,11 +232,12 @@ def criterion_carrier_counts():
         (("@",), 1, 3),
         (("@", "p"), 1, 99),
         (("@",), 2, 49),
+        (("@", "p", "q"), 1, 54871),
     ]
     problems = []
     sizes = []
     for atoms, depth, expected in cases:
-        model = build_model(atoms, depth, max_depth=2)
+        model = build_model(atoms, depth, max_atoms=3, max_depth=2)
         bound = stack_of_twos(depth + 1, len(atoms) + depth)
         sizes.append(f"|F({depth})| over {{{','.join(atoms)}}} = {model.size} (bound {bound})")
         if model.size != expected:

@@ -394,9 +394,10 @@ def to_json_obj(e: Expr) -> dict:
 
 def from_json_obj(obj) -> Expr:
     """The expression of a JSON AST; raises ValueError on the first malformed
-    object in preorder.  One loop over an explicit stack of flat (item,
-    constructor) pairs: an object to read has no constructor, and a
-    constructor pairs up the last two expressions built."""
+    object in preorder, an atom whose name parse cannot read among them.  One
+    loop over an explicit stack of flat (item, constructor) pairs: an object
+    to read has no constructor, and a constructor pairs up the last two
+    expressions built."""
     built = []
     stack = [obj, None]
     while stack:
@@ -410,7 +411,7 @@ def from_json_obj(obj) -> Expr:
             raise ValueError(f"not an expression object: {x!r}")
         if "atom" in x:
             name = x["atom"]
-            if not isinstance(name, str) or not name:
+            if not (isinstance(name, str) and _ATOM_NAME.fullmatch(name)):
                 raise ValueError(f"bad atom name: {name!r}")
             built.append(Atom(name))
             continue

@@ -150,6 +150,14 @@ class TestModelVerb:
     def test_limit_override(self, capsys):
         assert run(["model", "--atoms", "@,p,q", "--depth", "0", "--max-atoms", "3"]) == 0
 
+    def test_carrier_cap_exit_3(self, capsys):
+        assert run(["model", "--atoms", "@,p", "--depth", "2", "--max-depth", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("limit exceeded:")
+
+    def test_removed_candidate_flag_is_a_usage_error(self, capsys):
+        assert run(["model", "--atoms", "@", "--depth", "0", "--max-candidates", "10"]) == 2
+
     def test_json_tables(self, capsys):
         assert run(["model", "--atoms", "@", "--depth", "1", "--json", "--tables"]) == 0
         obj = json.loads(capsys.readouterr().out)

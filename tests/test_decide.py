@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from bcd.decide import (
     DecisionCache,
     SubtypeMatrix,
+    _numbering,
     equiv,
     explain,
-    numbered_factors,
+    satisfies_eq,
     subseteq,
     subtype_matrix,
 )
@@ -28,7 +29,6 @@ from bcd.rewrite import (
     convertible_bounded,
     redexes,
 )
-from bcd.model import satisfies_eq
 from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse, render
 
 from conftest import expr_strategy
@@ -196,9 +196,9 @@ class TestSubtypeMatrix:
         rng = random.Random(33)
         for _ in range(30):
             root = random_expr(rng, rng.randint(1, 61))
-            exprs, facts = numbered_factors(root)
-            for idx, fs in enumerate(facts):
-                for _, args in fs:
+            _, _, groups = _numbering(root)
+            for idx, g in enumerate(groups):
+                for args in (args for argss in g.values() for args in argss):
                     assert all(k > idx for k in args)
                     assert idx + idx < min(
                         (k + kk for k in args for kk in args), default=10**9

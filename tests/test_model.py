@@ -6,21 +6,21 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcd.decide import DecisionCache, equiv
+from bcd.decide import DecisionCache, equiv, satisfies_eq
 from bcd.gen import all_exprs, random_walk, witness_pool
 from bcd.model import (
+    CARRIER_CAP,
     LimitExceeded,
     UnknownAtom,
     _close_level,
     _unit_mask,
     build_model,
-    satisfies_eq,
     stack_of_twos,
 )
-from bcd.rewrite import dept_normal_form, meet_of, slat_canonical
-from bcd.syntax import Arrow, Atom, Meet, arrow_depth, atoms_of, parse, render
+from bcd.rewrite import meet_of, slat_canonical
+from bcd.syntax import Arrow, Atom, Meet, arrow_depth, atoms_of, dept_normal_form, parse, render
 
-from conftest import expr_strategy
+from conftest import alarm, expr_strategy
 
 
 class TestStackOfTwos:
@@ -127,9 +127,29 @@ class TestBuildModel:
         m = build_model(["@", "p", "q"], 0, max_atoms=3)
         assert m.size == 7  # nonempty subsets of three incomparable atoms
 
-    def test_candidate_cap(self):
-        with pytest.raises(LimitExceeded):
-            build_model(["@", "p"], 1, max_candidates=100)
+    @pytest.mark.parametrize(
+        "atoms, depth", [(["@"], 3), (["@", "p"], 2)], ids=["at-d3", "at_p-d2"]
+    )
+    def test_carrier_cap_refuses_in_the_closure(self, atoms, depth):
+        with alarm(10, f"{atoms} at depth {depth} was not refused in 10 s"):
+            with pytest.raises(LimitExceeded, match=f"classes after .* cap of {CARRIER_CAP}$"):
+                build_model(atoms, depth, max_depth=depth)
+
+    def test_carrier_cap_refuses_before_the_primes(self, monkeypatch):
+        built = []
+
+        def close_level(atoms, prev=None):
+            level = _close_level(atoms, prev)
+            built.append(len(level.carrier))
+            return level
+
+        monkeypatch.setattr("bcd.model._close_level", close_level)
+        with pytest.raises(LimitExceeded, match=f"^{3 + 54871**2} primes exceeds"):
+            build_model(["@", "p", "q"], 2, max_atoms=3, max_depth=2)
+        assert built == [7, 54871]  # no level-2 prime was built
+
+    def test_three_atoms_depth_one(self):
+        assert build_model(["@", "p", "q"], 1, max_atoms=3).size == 54871
 
     def test_model_is_frozen(self):
         m = build_model(["@"], 1)

@@ -89,17 +89,12 @@ class TestFactorsNameClash:
 
 class TestModuleHomes:
     """The depth truncation lives in `bcd.syntax` and satisfies_eq in
-    `bcd.decide`; their old modules import them back."""
+    `bcd.decide`; `bcd.model` imports the truncation for class_index."""
 
     def test_old_paths_give_the_same_objects(self):
-        import bcd.decide
         import bcd.model
-        import bcd.rewrite
         import bcd.syntax
 
-        assert bcd.model.satisfies_eq is bcd.decide.satisfies_eq
-        assert bcd.rewrite.dept_normal_form is bcd.syntax.dept_normal_form
-        assert bcd.rewrite.INFINITE_DEPTH is bcd.syntax.INFINITE_DEPTH
         assert bcd.model.dept_normal_form is bcd.syntax.dept_normal_form
 
     def test_exports_point_at_the_new_homes(self):

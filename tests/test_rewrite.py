@@ -13,7 +13,6 @@ from bcd.rewrite import (
     COMM,
     DIST,
     IDEM,
-    INFINITE_DEPTH,
     MissingParameter,
     NotARedex,
     Rule,
@@ -26,7 +25,6 @@ from bcd.rewrite import (
     convertible_bounded,
     default_witnesses,
     dept,
-    dept_normal_form,
     dist_normal_form,
     meet_members,
     meet_of,
@@ -38,6 +36,7 @@ from bcd import rewrite, syntax
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
+    INFINITE_DEPTH,
     Arrow,
     Atom,
     Expr,
@@ -45,6 +44,7 @@ from bcd.syntax import (
     Polarity,
     Position,
     arrow_depth,
+    dept_normal_form,
     ebb,
     node_at,
     node_count,
@@ -454,7 +454,7 @@ class TestRedoSoundness:
     @given(expr_strategy(max_leaves=8), st.integers(min_value=0, max_value=2))
     @settings(max_examples=40)
     def test_dept_steps_sound_for_truncation_model(self, e, n):
-        from bcd.model import satisfies_eq
+        from bcd.decide import satisfies_eq
 
         for pos in redexes(e, dept(n), restricted=True):
             assert satisfies_eq(n, e, apply(e, dept(n), pos))

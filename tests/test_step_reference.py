@@ -20,7 +20,6 @@ from bcd.rewrite import (
     COMM,
     DIST,
     IDEM,
-    INFINITE_DEPTH,
     MissingParameter,
     NotARedex,
     Rule,
@@ -33,6 +32,7 @@ from bcd.rewrite import (
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
+    INFINITE_DEPTH,
     MEET_LEFT,
     MEET_RIGHT,
     Arrow,

@@ -361,6 +361,27 @@ class TestRender:
     def test_json_round_trip(self, e):
         assert from_json_obj(json.loads(json.dumps(to_json_obj(e)))) == e
 
+    @pytest.mark.parametrize("name", ["A", "a b", "->", "x)", "9"])
+    def test_json_refuses_names_parse_cannot_read(self, name):
+        with pytest.raises(ValueError, match="^bad atom name"):
+            from_json_obj({"meet": [{"atom": "a"}, {"atom": name}]})
+
+    def test_json_accepts_only_what_render_and_parse_round_trip(self):
+        rng = random.Random(22)
+        good, bad = ("@", "a", "q_x", "x_Y9"), ("A", "a b", "->", "x)", "9")
+        accepted = 0
+        for _ in range(2000):
+            e = random_expr(rng, rng.randint(1, 15), atoms=good + bad)
+            obj = to_json_obj(e)
+            if atoms_of(e).isdisjoint(bad):
+                x = from_json_obj(obj)
+                assert x is e and parse(render(x)) is x
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="^bad atom name"):
+                    from_json_obj(obj)
+        assert accepted > 100
+
 
 class TestSubexpressions:
     def test_atom(self):
@@ -1140,7 +1161,7 @@ class TestReprAndJsonMatchTheRecursiveCode:
     def test_seeded_trees(self):
         rng = random.Random(15)
         for _ in range(3000):
-            e = random_expr(rng, rng.randint(1, 40), atoms=("a", "b", "@", "q'x"))
+            e = random_expr(rng, rng.randint(1, 40), atoms=("a", "b", "@", "q_x"))
             assert repr(e) == _reference_repr(e)
             obj = to_json_obj(e)
             assert obj == _reference_to_json_obj(e)
