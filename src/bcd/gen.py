@@ -11,11 +11,12 @@ from .rewrite import (
     DIST,
     IDEM,
     Trace,
+    _is_redex,
     absp,
     apply,
     redexes,
 )
-from .syntax import Arrow, Atom, Expr, Meet, Polarity, polarity, subexpressions
+from .syntax import Arrow, Atom, Expr, Meet, _preorder, subexpressions
 
 
 def random_expr(rng: random.Random, size: int, atoms=("a", "b", "c")) -> Expr:
@@ -91,10 +92,7 @@ def random_strictly_positive_step(rng: random.Random, e: Expr):
     step at the root, so this never fails.
     """
     rules = [ASSO, ASSO_INV, COMM, IDEM, DIST, absp(rng.choice(witness_pool(e)))]
-    options = []
-    for rule in rules:
-        for pos in redexes(e, rule, restricted=True):
-            if polarity(e, pos) is Polarity.STRICTLY_POSITIVE:
-                options.append((rule, pos))
+    walk = list(_preorder(e, sources=False))
+    options = [(r, pos) for r in rules for pos, x, here in walk if _is_redex(r, x, here, True)]
     rule, pos = rng.choice(options)
     return rule, pos, apply(e, rule, pos)

@@ -13,7 +13,8 @@ Rules (each rewrites exactly one occurrence of its left hand side):
 Restricted redex enumeration narrows idem to atoms, comm to meets whose
 operands are atoms or arrows, and dept to intersections of atoms and @ -> @
 occurrences.  One predicate tests every rule's redex, restricted or not, for
-the listing, for a single step and for the counted walk alike.  absp is
+the listing (a filter over bcd.syntax's preorder walk and its arrow
+counts), for a single step and for the counted walk alike.  absp is
 generative (its C is arbitrary), so it never takes part in normalization; it
 appears only in the bounded conversion search, with witnesses drawn from a
 finite pool.  The dept normal form, a plain depth truncation, is
@@ -47,10 +48,6 @@ from enum import Enum
 from itertools import combinations
 
 from .syntax import (
-    ARROW_SOURCE,
-    ARROW_TARGET,
-    MEET_LEFT,
-    MEET_RIGHT,
     Arrow,
     Atom,
     Expr,
@@ -58,6 +55,7 @@ from .syntax import (
     Position,
     _AT,
     _path,
+    _preorder,
     _rebuild,
     render,
     subexpressions,
@@ -193,22 +191,7 @@ def _is_redex(rule: Rule, x: Expr, here: int, restricted: bool) -> bool:
 def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
     """All positions where the rule's left hand side matches, in preorder."""
     _check_params(rule)
-    out = []
-    # carry the arrow count above each node; a node's own ebb adds one more
-    # when the node is an arrow
-    stack = [((), e, 0)]
-    while stack:
-        pos, x, above = stack.pop()
-        here = above + 1 if isinstance(x, Arrow) else above
-        if _is_redex(rule, x, here, restricted):
-            out.append(pos)
-        if isinstance(x, Arrow):
-            stack.append((pos + (ARROW_TARGET,), x.target, here))
-            stack.append((pos + (ARROW_SOURCE,), x.source, here))
-        elif isinstance(x, Meet):
-            stack.append((pos + (MEET_RIGHT,), x.right, here))
-            stack.append((pos + (MEET_LEFT,), x.left, here))
-    return out
+    return [pos for pos, x, here in _preorder(e) if _is_redex(rule, x, here, restricted)]
 
 
 def _rewrite_once(rule: Rule, sub: Expr) -> Expr:

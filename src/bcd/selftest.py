@@ -178,50 +178,46 @@ def criterion_oracle_agreement(
     return ok, detail
 
 
-def criterion_finite_model_property(depth: int = 2, max_nodes: int = 6):
-    """Truncation-model equality matches congruence on the exhaustive universe,
-    and the tables of the ({@,p}, 1) model match congruence and the order.
+def criterion_finite_model_property(max_nodes: int = 6):
+    """The finite model property on the {@,p} expressions with at most
+    max_nodes nodes, and the ({@,p}, 1) model's tables against the decider.
 
-    The first check alone is vacuous at its full scale: every expression of
-    its universe has arrow depth at most `depth`, so depth truncation leaves
-    it unchanged and satisfies_eq(depth, a, b) is equiv(a, b) itself.  The
-    table path evaluates through the model's meet and arrow tables instead,
-    on every pair of the {@,p} expressions with at most 7 nodes and arrow
-    depth at most 1: eval(a) == eval(b) iff a ~ b, and eval(a & b) == eval(a)
-    iff a <= b, in both directions.
+    On every pair, in both directions: eval(a) == eval(b) iff
+    satisfies_eq(1, a, b), and eval(a & b) == eval(a) iff
+    satisfies_eq(1, a & b, a); depth-1 truncation changes 16 of the 74
+    expressions at full scale.  The table half asks the same of the {@,p}
+    expressions with at most 7 nodes and arrow depth at most 1, against
+    a ~ b and a <= b.
     """
-    universe = [
-        e for e in all_exprs(("@", "p"), max_nodes) if arrow_depth(e) < depth + 1
-    ]
-    cache = DecisionCache()
-    bad = 0
-    total = 0
-    for i in range(len(universe)):
-        for j in range(i, len(universe)):
-            a, b = universe[i], universe[j]
-            total += 1
-            if satisfies_eq(depth, a, b) != cache.equiv(a, b):
-                bad += 1
-
     model = build_model(("@", "p"), 1)
+
+    def check(universe, same, below):
+        """Disagreements of the model's equality and order, in both
+        directions, with same and below on the pairs of universe."""
+        values = [model.eval(e) for e in universe]
+        bad = 0
+        for i, (a, va) in enumerate(zip(universe, values)):
+            for b, vb in zip(universe[i:], values[i:]):
+                if (
+                    (va == vb) != same(a, b)
+                    or (model.eval(Meet(a, b)) == va) != below(a, b)
+                    or (model.eval(Meet(b, a)) == vb) != below(b, a)
+                ):
+                    bad += 1
+        n = len(universe)
+        return bad, f"{n} expressions, {n * (n + 1) // 2} pairs, {bad} disagreements"
+
+    universe = all_exprs(("@", "p"), max_nodes)
+    truncated = sum(dept_normal_form(e, 1) is not e for e in universe)
+    bad, detail = check(
+        universe, lambda a, b: satisfies_eq(1, a, b), lambda a, b: satisfies_eq(1, Meet(a, b), a)
+    )
+    cache = DecisionCache()
     table_universe = [e for e in all_exprs(("@", "p"), 7) if arrow_depth(e) <= 1]
-    values = [model.eval(e) for e in table_universe]
-    table_bad = 0
-    table_pairs = 0
-    for i, (a, va) in enumerate(zip(table_universe, values)):
-        for b, vb in zip(table_universe[i:], values[i:]):
-            table_pairs += 1
-            if (
-                (va == vb) != cache.equiv(a, b)
-                or (model.eval(Meet(a, b)) == va) != cache.subseteq(a, b)
-                or (model.eval(Meet(b, a)) == vb) != cache.subseteq(b, a)
-            ):
-                table_bad += 1
-    ok = bad == 0 and table_bad == 0
-    return ok, (
-        f"depth {depth}, {total} pairs, {bad} disagreements; "
-        f"tables of ({{@,p}}, 1): {len(table_universe)} expressions, "
-        f"{table_pairs} pairs, {table_bad} disagreements"
+    table_bad, table_detail = check(table_universe, cache.equiv, cache.subseteq)
+    return bad == 0 and table_bad == 0, (
+        f"({{@,p}}, 1) against depth-1 truncation: {detail}, {truncated} expressions "
+        f"truncated; tables of ({{@,p}}, 1): {table_detail}"
     )
 
 
@@ -250,7 +246,9 @@ def criterion_carrier_counts():
 
 
 def criterion_two_path_agreement(max_nodes: int = 7, pair_samples: int = 300, seed: int = 105):
-    """Table evaluation agrees with truncation-based class lookup."""
+    """Table evaluation agrees with truncation-based class lookup, and on
+    sampled pairs eval(a) == eval(b) iff satisfies_eq(depth, a, b) and
+    eval(a & b) == eval(a) iff satisfies_eq(depth, a & b, a)."""
     rng = random.Random(seed)
     bad = 0
     total = 0
@@ -264,11 +262,14 @@ def criterion_two_path_agreement(max_nodes: int = 7, pair_samples: int = 300, se
                 bad += 1
         for _ in range(pair_samples):
             a, b = rng.choice(universe), rng.choice(universe)
-            total += 1
+            total += 2
             if (model.eval(a) == model.eval(b)) != satisfies_eq(depth, a, b):
                 bad += 1
+            if (model.eval(Meet(a, b)) == model.eval(a)) != satisfies_eq(depth, Meet(a, b), a):
+                bad += 1
         details.append(f"({len(atoms)} atoms, depth {depth}): carrier {model.size}")
-    return bad == 0, f"{total} checks, {bad} disagreements; " + "; ".join(details)
+    detail = f"{total} checks ({3 * pair_samples} of the order), {bad} disagreements; "
+    return bad == 0, detail + "; ".join(details)
 
 
 def _random_size(rng: random.Random, cap: int = 199, mean_internal: float = 15.0) -> int:

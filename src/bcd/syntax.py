@@ -22,14 +22,15 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse, render, the JSON AST conversions, the nodes' repr, atoms_of, the
-depth truncation dept_normal_form, subexpressions and
-strictly_positive_atom_positions (which never enters an arrow source) each
-run one loop over an explicit stack; pickling, node_count and arrow_depth
-are one fold, _fold, linear in distinct subterms; and every position
-operation walks its path by one validated descent, _path (a replacement
-rebuilds that path by one loop, _rebuild), so no nesting depth reaches the
-recursion limit.
+parse, render, the JSON AST conversions, the nodes' repr, atoms_of and the
+depth truncation dept_normal_form each run one loop over an explicit stack;
+one preorder walk, _preorder, gives each position with its node and the
+arrows on its path, entering arrow sources or not, to subexpressions,
+strictly_positive_atom_positions and bcd.rewrite's redexes; pickling,
+node_count and arrow_depth are one fold, _fold, linear in distinct
+subterms; and every position operation walks its path by one validated
+descent, _path (a replacement rebuilds that path by one loop, _rebuild), so
+no nesting depth reaches the recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
 (equiv over two truncations) loads no rewriting code; the module imports
 no json (the CLI dumps to_json_obj's objects itself).  render caches its
@@ -474,24 +475,32 @@ def replace_at(e: Expr, pos: Position, replacement: Expr) -> Expr:
     return _rebuild(_path(e, pos), pos, replacement)
 
 
+def _preorder(e: Expr, sources: bool = True):
+    """Yield (position, node, arrows on the path including the node's own)
+    for every occurrence in e, in preorder, source and left operand first, by
+    one loop over an explicit stack; with sources false, enter no arrow
+    source.  A caller that keeps few of the positions holds few."""
+    stack = [((), e, 0)]
+    while stack:
+        pos, x, above = stack.pop()
+        if x.__class__ is Arrow:
+            above += 1
+            stack.append((pos + (ARROW_TARGET,), x.target, above))
+            if sources:
+                stack.append((pos + (ARROW_SOURCE,), x.source, above))
+        elif x.__class__ is Meet:
+            stack.append((pos + (MEET_RIGHT,), x.right, above))
+            stack.append((pos + (MEET_LEFT,), x.left, above))
+        yield pos, x, above
+
+
 def subexpressions(e: Expr) -> list:
     """Depth-first preorder list of (position, subexpression) pairs.
 
     The whole expression is item 0 and every enclosing expression receives a
     lower index than its subexpressions.
     """
-    out = []
-    stack = [((), e)]
-    while stack:
-        pos, x = stack.pop()
-        out.append((pos, x))
-        if isinstance(x, Arrow):
-            stack.append((pos + (ARROW_TARGET,), x.target))
-            stack.append((pos + (ARROW_SOURCE,), x.source))
-        elif isinstance(x, Meet):
-            stack.append((pos + (MEET_RIGHT,), x.right))
-            stack.append((pos + (MEET_LEFT,), x.left))
-    return out
+    return [(pos, x) for pos, x, _ in _preorder(e)]
 
 
 def node_count(e: Expr) -> int:
@@ -605,15 +614,4 @@ def polarity(e: Expr, pos: Position) -> Polarity:
 
 def strictly_positive_atom_positions(e: Expr) -> list:
     """Positions of atom occurrences reachable without entering an arrow source."""
-    out = []
-    stack = [((), e)]
-    while stack:
-        pos, x = stack.pop()
-        if isinstance(x, Atom):
-            out.append(pos)
-        elif isinstance(x, Arrow):
-            stack.append((pos + (ARROW_TARGET,), x.target))
-        else:
-            stack.append((pos + (MEET_RIGHT,), x.right))
-            stack.append((pos + (MEET_LEFT,), x.left))
-    return out
+    return [pos for pos, x, _ in _preorder(e, sources=False) if x.__class__ is Atom]

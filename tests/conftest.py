@@ -1,12 +1,9 @@
 import signal
-import sys
 from contextlib import contextmanager
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from bcd.syntax import Arrow, Atom, Meet
-
-sys.setrecursionlimit(20000)
 
 settings.register_profile(
     "bcd",
