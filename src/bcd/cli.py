@@ -118,11 +118,7 @@ def _cmd_model(args) -> int:
     from .model import build_model, stack_of_twos
 
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
-    caps = {
-        cap: getattr(args, cap)
-        for cap in ("max_atoms", "max_depth")
-        if getattr(args, cap) is not None
-    }
+    caps = {} if args.max_depth is None else {"max_depth": args.max_depth}
     model = build_model(atoms, args.depth, **caps)
     bound = stack_of_twos(args.depth + 1, len(model.atoms) + args.depth)
     if args.json:
@@ -233,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--tables", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-atoms", type=int)
     p.add_argument("--max-depth", type=int)
 
     p = sub.add_parser("bench", help="time the subtype matrix on random instances")

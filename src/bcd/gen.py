@@ -10,7 +10,6 @@ from .rewrite import (
     COMM,
     DIST,
     IDEM,
-    Trace,
     _is_redex,
     absp,
     apply,
@@ -62,14 +61,13 @@ def witness_pool(*exprs: Expr) -> list:
     return pool
 
 
-def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list) -> Trace:
-    """Random restricted reduction of up to max_steps steps.
+def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list) -> Expr:
+    """The end of a random restricted reduction of up to max_steps steps.
 
     Uses the meet rules plus dist and absp with witnesses drawn from the pool.
     """
-    trace = Trace(start)
+    cur = start
     for _ in range(rng.randint(0, max_steps)):
-        cur = trace.final
         rules = [ASSO, ASSO_INV, COMM, IDEM, DIST]
         if witnesses and rng.random() < 0.25:
             rules.append(absp(rng.choice(witnesses)))
@@ -77,11 +75,11 @@ def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list
         for rule in rules:
             positions = redexes(cur, rule, restricted=True)
             if positions:
-                trace = trace.extend(rule, rng.choice(positions))
+                cur = apply(cur, rule, rng.choice(positions))
                 break
         else:
             break
-    return trace
+    return cur
 
 
 def random_strictly_positive_step(rng: random.Random, e: Expr):

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .decide import DecisionCache, LimitExceeded
+from .decide import MATRIX_CAP_BYTES, DecisionCache, LimitExceeded
 from .syntax import (
     INFINITE_DEPTH,
     TRUNCATION_ATOM,
@@ -281,7 +281,7 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
     return _Level(units, pmask, masks, carrier, by_mask, proj, arrows)
 
 
-def build_model(atoms, depth: int, *, max_atoms: int = 2, max_depth: int = 1) -> Model:
+def build_model(atoms, depth: int, *, max_depth: int = 1) -> Model:
     """Enumerate the depth-n carrier over the given atoms.
 
     Each level derives its primes' unit masks from the level below and
@@ -289,11 +289,10 @@ def build_model(atoms, depth: int, *, max_atoms: int = 2, max_depth: int = 1) ->
     prime subset; no decision is made.  The meet and arrow tables are built
     when first read.  See the module docstring for why.
 
-    Default caps keep the enumeration at desk scale: two atoms and depth
-    one; pass larger caps explicitly to override.  Whatever the caps, a
-    level of more than CARRIER_CAP classes is refused with LimitExceeded:
-    before its primes are built when they alone outnumber the cap, and
-    otherwise from inside the closure.
+    A depth above max_depth is refused with LimitExceeded.  So is a level
+    whose closure could hold more than MATRIX_CAP_BYTES before its carrier
+    check fires, before any node of that level is built; and so, from inside
+    the closure, is a level of more than CARRIER_CAP classes.
     """
     names = tuple(sorted(set(atoms)))
     for a in names:
@@ -303,22 +302,27 @@ def build_model(atoms, depth: int, *, max_atoms: int = 2, max_depth: int = 1) ->
         raise ValueError(f"model atoms must include {TRUNCATION_ATOM!r}")
     if depth == INFINITE_DEPTH or depth < 0:
         raise ValueError("model depth must be a finite natural number")
-    if len(names) > max_atoms:
-        raise LimitExceeded(
-            f"{len(names)} atoms exceeds the cap of {max_atoms}; override with max_atoms"
-        )
     if depth > max_depth:
         raise LimitExceeded(
             f"depth {depth} exceeds the cap of {max_depth}; override with max_depth"
         )
 
-    atom_exprs = [Atom(a) for a in names]
+    atom_exprs = None
     level = None
     for _ in range(depth + 1):
-        # the primes are pairwise non-congruent, so each is a class of its own
-        primes = len(names) + (len(level.carrier) ** 2 if level else 0)
-        if primes > CARRIER_CAP:
-            raise LimitExceeded(f"{primes} primes exceeds the carrier cap of {CARRIER_CAP}")
+        # The closure's least dict holds up to 2 * (CARRIER_CAP + 1) entries
+        # before its check fires, since one prime at most doubles it.  An
+        # entry is a key of one bit per unit on this level and the one below,
+        # and a subset of one bit per prime.
+        size, below = (len(level.carrier), len(level.units)) if level else (0, 0)
+        units, primes = len(names) + size * below, len(names) + size**2
+        need = 2 * (CARRIER_CAP + 1) * (units + below + primes) // 8
+        if need > MATRIX_CAP_BYTES:
+            raise LimitExceeded(
+                f"closure over {primes} primes and {units} units could hold {need}"
+                f" bytes; the cap is {MATRIX_CAP_BYTES}"
+            )
+        atom_exprs = atom_exprs or [Atom(a) for a in names]
         level = _close_level(atom_exprs, level)
 
     by_mask = level.by_mask

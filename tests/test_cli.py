@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from bcd.cli import run
 from bcd.decide import MATRIX_CAP_BYTES
-from bcd.selftest import FULL_SCALE
+from bcd.selftest import DESK_SCALE, FULL_SCALE
 
 DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
 LONG_CHAIN = "->".join(["a"] * 25001)
@@ -144,11 +145,11 @@ class TestModelVerb:
         assert "carrier size: 3 (bound 16)" in out
 
     def test_limit_exit_3(self, capsys):
-        assert run(["model", "--atoms", "@,p,q", "--depth", "0"]) == 3
-        assert "limit" in capsys.readouterr().err
+        assert run(["model", "--atoms", "@,p,q", "--depth", "0"]) == 0
+        assert "carrier size: 7" in capsys.readouterr().out
 
     def test_limit_override(self, capsys):
-        assert run(["model", "--atoms", "@,p,q", "--depth", "0", "--max-atoms", "3"]) == 0
+        assert run(["model", "--atoms", "@,p,q", "--depth", "0", "--max-atoms", "3"]) == 2
 
     def test_carrier_cap_exit_3(self, capsys):
         assert run(["model", "--atoms", "@,p", "--depth", "2", "--max-depth", "2"]) == 3
@@ -183,7 +184,7 @@ class TestModelVerb:
             ("--atoms @,p --depth 0", "9c65b2bb3f065560"),
             ("--atoms @,p --depth 1", "c892912f8807bbcc"),
             ("--atoms @ --depth 2 --max-depth 2", "e5c7e6cba2ad1e70"),
-            ("--atoms @,p,q --depth 0 --max-atoms 3", "663e1f8d142db549"),
+            ("--atoms @,p,q --depth 0", "663e1f8d142db549"),
         ],
     )
     def test_tables_json_golden(self, capsys, args, digest):
@@ -236,6 +237,11 @@ class TestSelftest:
         assert len(lines) == len(FULL_SCALE)
         for line, (name, _) in zip(lines, FULL_SCALE):
             assert line.startswith(f"PASS {name} (")
+
+    def test_every_criterion_parameter_is_set_at_desk_scale(self):
+        # a value that no caller changes is a literal in the criterion
+        for name, fn in FULL_SCALE:
+            assert set(inspect.signature(fn).parameters) == set(DESK_SCALE.get(name, {})), name
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -47,6 +47,23 @@ class TestStackOfTwos:
             stack_of_twos(-1, 2)
 
 
+def _levels_before_refusal(monkeypatch, atoms, depth, primes):
+    """The carrier size of each level that build_model builds before its byte
+    check refuses a level of the given primes."""
+    levels = []
+
+    def close_level(atoms, prev=None):
+        level = _close_level(atoms, prev)
+        levels.append(len(level.carrier))
+        return level
+
+    monkeypatch.setattr("bcd.model._close_level", close_level)
+    message = f"^closure over {primes} primes .* bytes; the cap is"
+    with pytest.raises(LimitExceeded, match=message):
+        build_model(atoms, depth, max_depth=depth)
+    return levels
+
+
 class TestBuildModel:
     def test_single_atom_depth_zero(self):
         m = build_model(["@"], 0)
@@ -120,15 +137,12 @@ class TestBuildModel:
 
     def test_limits(self):
         with pytest.raises(LimitExceeded):
-            build_model(["@", "p", "q"], 0)
-        with pytest.raises(LimitExceeded):
             build_model(["@"], 2)
-        # overridable
-        m = build_model(["@", "p", "q"], 0, max_atoms=3)
+        m = build_model(["@", "p", "q"], 0)
         assert m.size == 7  # nonempty subsets of three incomparable atoms
 
     @pytest.mark.parametrize(
-        "atoms, depth", [(["@"], 3), (["@", "p"], 2)], ids=["at-d3", "at_p-d2"]
+        "atoms, depth", [(["@"], 3), (["@", "p", "q", "r"], 1)], ids=["at-d3", "at_p_q_r-d1"]
     )
     def test_carrier_cap_refuses_in_the_closure(self, atoms, depth):
         with alarm(10, f"{atoms} at depth {depth} was not refused in 10 s"):
@@ -136,20 +150,34 @@ class TestBuildModel:
                 build_model(atoms, depth, max_depth=depth)
 
     def test_carrier_cap_refuses_before_the_primes(self, monkeypatch):
-        built = []
-
-        def close_level(atoms, prev=None):
-            level = _close_level(atoms, prev)
-            built.append(len(level.carrier))
-            return level
-
-        monkeypatch.setattr("bcd.model._close_level", close_level)
-        with pytest.raises(LimitExceeded, match=f"^{3 + 54871**2} primes exceeds"):
-            build_model(["@", "p", "q"], 2, max_atoms=3, max_depth=2)
+        built = _levels_before_refusal(monkeypatch, ["@", "p", "q"], 2, 3 + 54871**2)
         assert built == [7, 54871]  # no level-2 prime was built
 
+    @pytest.mark.parametrize(
+        "atoms, depth, primes, built",
+        [
+            (["@", "p"], 2, 2 + 99**2, [3, 99]),
+            (["@", *"pqrstu"], 1, 7 + 127**2, [127]),
+            (["@", *"pqrstuv"], 1, 8 + 255**2, [255]),
+        ],
+        ids=["at_p-d2", "7_atoms-d1", "8_atoms-d1"],
+    )
+    def test_byte_cap_refuses_before_the_primes(self, monkeypatch, atoms, depth, primes, built):
+        with alarm(2, f"{atoms} at depth {depth} was not refused in 2 s"):
+            assert _levels_before_refusal(monkeypatch, atoms, depth, primes) == built
+
+    def test_refuses_a_million_atoms_before_building_one(self, monkeypatch):
+        names = ["@", *(f"a{i}" for i in range(10**6 - 1))]
+
+        def atom(name):
+            raise AssertionError(f"build_model built Atom({name!r})")
+
+        monkeypatch.setattr("bcd.model.Atom", atom)
+        with pytest.raises(LimitExceeded, match="bytes; the cap is"):
+            build_model(names, 0)
+
     def test_three_atoms_depth_one(self):
-        assert build_model(["@", "p", "q"], 1, max_atoms=3).size == 54871
+        assert build_model(["@", "p", "q"], 1).size == 54871
 
     def test_model_is_frozen(self):
         m = build_model(["@"], 1)
@@ -205,7 +233,7 @@ class TestReferenceEnumeration:
             (("@", "p"), 0, {}),
             (("@", "p"), 1, {}),
             (("@",), 2, {"max_depth": 2}),
-            (("@", "p", "q"), 0, {"max_atoms": 3}),
+            (("@", "p", "q"), 0, {}),
         ],
         ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
     )
@@ -249,7 +277,7 @@ class TestCloseLevel:
     def test_three_atom_level_one_in_least_subset_order(self):
         # the level-1 primes over {@,p,q}: 3 atoms and 49 arrows
         atoms = [Atom(a) for a in ("@", "p", "q")]
-        level0 = build_model(["@", "p", "q"], 0, max_atoms=3).carrier
+        level0 = build_model(["@", "p", "q"], 0).carrier
         primes = atoms + [Arrow(x, y) for x in level0 for y in level0]
         _, pmask, masks, carrier = _close_level(atoms, _close_level(atoms))[:4]
         assert len(masks) == len(carrier) == 54_871
@@ -269,7 +297,7 @@ _SIX = pytest.mark.parametrize(
         (("@", "p"), 0, {}),
         (("@", "p"), 1, {}),
         (("@",), 2, {"max_depth": 2}),
-        (("@", "p", "q"), 0, {"max_atoms": 3}),
+        (("@", "p", "q"), 0, {}),
     ],
     ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
 )
@@ -503,7 +531,7 @@ class TestSatisfiesEq:
     def test_congruence_implies_model_equality_any_depth(self, e, n):
         # a sound model: congruent expressions are model-equal at every depth
         rng = random.Random(77)
-        other = random_walk(rng, e, 3, witnesses=witness_pool(e)).final
+        other = random_walk(rng, e, 3, witnesses=witness_pool(e))
         assert equiv(e, other)
         assert satisfies_eq(n, e, other)
 

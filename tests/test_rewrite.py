@@ -591,7 +591,7 @@ def _random_states(rng: random.Random, count: int) -> list:
             e = random_expr_local(rng, rng.randint(1, 17), atoms=("a", "b", "@"))
         else:
             src = random_expr_local(rng, rng.choice((3, 5, 7)), atoms=("a", "b", "@"))
-            e = random_walk(rng, src, 6, witnesses=witness_pool(src)).final
+            e = random_walk(rng, src, 6, witnesses=witness_pool(src))
         states.append(slat_canonical(e))
     return states
 
@@ -768,8 +768,8 @@ class TestSearchMatchesReference:
         for _ in range(150):
             src = random_expr_local(rng, rng.randint(1, 12), ("a", "b", "c"))
             pool = witness_pool(src)
-            a = random_walk(rng, src, 4, witnesses=pool).final
-            b = random_walk(rng, src, 4, witnesses=pool).final
+            a = random_walk(rng, src, 4, witnesses=pool)
+            b = random_walk(rng, src, 4, witnesses=pool)
             verdict, _ = self.check(monkeypatch, a, b, budget=4000, witnesses=witness_pool(src, a, b))
             assert verdict is Verdict.CONFIRMED
 
