@@ -9,7 +9,8 @@ sources (a factor's arguments), so `le` and `eq` answer on a right-nested
 chain of any length but not on a deep left-nested one; explanations, the
 other normal forms and json.dumps recurse too.  Each raises the
 RecursionError that deep input turns into exit 3.  --json switches output to
-a single JSON object on stdout; diagnostics go to stderr.
+a single JSON object on stdout; diagnostics go to stderr.  Exit 141 (128 +
+SIGPIPE) means that the reader of stdout left before the output ended.
 
 Only syntax, factors and decide are imported here, which is all that `parse`,
 `factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and
@@ -21,6 +22,7 @@ it skips.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -118,8 +120,9 @@ def _cmd_model(args) -> int:
     from .model import build_model, stack_of_twos
 
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
-    caps = {} if args.max_depth is None else {"max_depth": args.max_depth}
-    model = build_model(atoms, args.depth, **caps)
+    model = build_model(atoms, args.depth)
+    # read before anything is printed, so that a refusal leaves stdout empty
+    tables = (model.meet_table, model.arrow_table) if args.tables else ()
     bound = stack_of_twos(args.depth + 1, len(model.atoms) + args.depth)
     if args.json:
         obj = {
@@ -129,9 +132,8 @@ def _cmd_model(args) -> int:
             "bound": bound,
             "carrier": [render(e) for e in model.carrier],
         }
-        if args.tables:
-            obj["meet_table"] = [list(row) for row in model.meet_table]
-            obj["arrow_table"] = [list(row) for row in model.arrow_table]
+        if tables:
+            obj["meet_table"], obj["arrow_table"] = ([list(r) for r in t] for t in tables)
         _emit(obj)
     else:
         print(f"atoms: {', '.join(model.atoms)}")
@@ -139,12 +141,9 @@ def _cmd_model(args) -> int:
         print(f"carrier size: {model.size} (bound {bound})")
         for i, e in enumerate(model.carrier):
             print(f"  [{i}] {render(e)}")
-        if args.tables:
-            print("meet table:")
-            for row in model.meet_table:
-                print("  " + " ".join(f"{v:3d}" for v in row))
-            print("arrow table:")
-            for row in model.arrow_table:
+        for name, table in zip(("meet", "arrow"), tables):
+            print(f"{name} table:")
+            for row in table:
                 print("  " + " ".join(f"{v:3d}" for v in row))
     return 0
 
@@ -229,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--tables", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-depth", type=int)
 
     p = sub.add_parser("bench", help="time the subtype matrix on random instances")
     p.add_argument("--sizes", default="200,400,800,1600")
@@ -282,7 +280,15 @@ def run(argv) -> int:
 def main() -> None:
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has left; point stdout at devnull so that the flush at
+        # exit cannot raise again, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

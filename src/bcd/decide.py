@@ -38,6 +38,12 @@ class LimitExceeded(RuntimeError):
     """A computation would exceed one of the package's fixed size caps."""
 
 
+def _check_bytes(need: int, what: str) -> None:
+    """Refuse with LimitExceeded a structure of need bytes above MATRIX_CAP_BYTES."""
+    if need > MATRIX_CAP_BYTES:
+        raise LimitExceeded(f"{what} {need} bytes; the cap is {MATRIX_CAP_BYTES}")
+
+
 class DecisionCache:
     """Memo table for subtype queries over a family of related expressions."""
 
@@ -180,9 +186,7 @@ def _numbering(root: Expr):
         elif isinstance(e, Meet):
             stack += (e.right, e.left)
     number = {x: c for c, x in enumerate(reversed(dict.fromkeys(reversed(exprs))))}
-    need = len(number) * (len(number) + len(exprs))
-    if need > MATRIX_CAP_BYTES:
-        raise LimitExceeded(f"subtype matrix needs {need} bytes; the cap is {MATRIX_CAP_BYTES}")
+    _check_bytes(len(number) * (len(number) + len(exprs)), "subtype matrix needs")
     at = number.__getitem__
     groups = [
         {key: [tuple(map(at, args)) for args in argss] for key, argss in factor_groups(e).items()}

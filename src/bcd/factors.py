@@ -129,12 +129,3 @@ def sorted_groups(groups: dict) -> dict:
         key: sorted((factor_text(args, key[0]), args) for args in groups[key])
         for key in sorted(groups)
     }
-
-
-def sorted_factors(e: Expr) -> list:
-    """The factors of e in a deterministic order: head, arity, rendered text."""
-    return [
-        Factor(args, head)
-        for (head, _), pairs in sorted_groups(factor_groups(e)).items()
-        for _, args in pairs
-    ]

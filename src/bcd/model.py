@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .decide import MATRIX_CAP_BYTES, DecisionCache, LimitExceeded
+from .decide import DecisionCache, LimitExceeded, _check_bytes
 from .syntax import (
     INFINITE_DEPTH,
     TRUNCATION_ATOM,
@@ -131,11 +131,13 @@ class Model:
     @cached_property
     def meet_table(self) -> tuple:
         by_mask, masks = self._by_mask, self._masks
+        _check_bytes(8 * len(masks) ** 2, f"a table over {len(masks)} classes needs")
         return tuple(tuple(by_mask[mi | mj] for mj in masks) for mi in masks)
 
     @cached_property
     def arrow_table(self) -> tuple:
         proj, arrows = self._proj, self._arrows
+        _check_bytes(8 * len(proj) ** 2, f"a table over {len(proj)} classes needs")
         return tuple(tuple(arrows[pi][pj] for pj in proj) for pi in proj)
 
     def eval(self, e: Expr) -> int:
@@ -281,7 +283,7 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
     return _Level(units, pmask, masks, carrier, by_mask, proj, arrows)
 
 
-def build_model(atoms, depth: int, *, max_depth: int = 1) -> Model:
+def build_model(atoms, depth: int, *, max_depth: int | None = None) -> Model:
     """Enumerate the depth-n carrier over the given atoms.
 
     Each level derives its primes' unit masks from the level below and
@@ -289,10 +291,12 @@ def build_model(atoms, depth: int, *, max_depth: int = 1) -> Model:
     prime subset; no decision is made.  The meet and arrow tables are built
     when first read.  See the module docstring for why.
 
-    A depth above max_depth is refused with LimitExceeded.  So is a level
-    whose closure could hold more than MATRIX_CAP_BYTES before its carrier
-    check fires, before any node of that level is built; and so, from inside
-    the closure, is a level of more than CARRIER_CAP classes.
+    Depth has no cap of its own (max_depth, if given, refuses a deeper one):
+    every atom set is refused by depth 3.  A level whose closure could hold
+    more than MATRIX_CAP_BYTES before its carrier check fires is refused with
+    LimitExceeded before any node of that level is built; so, from inside
+    the closure, is a level of more than CARRIER_CAP classes, and so is a
+    table whose 8 * size**2 bytes would exceed MATRIX_CAP_BYTES.
     """
     names = tuple(sorted(set(atoms)))
     for a in names:
@@ -302,10 +306,8 @@ def build_model(atoms, depth: int, *, max_depth: int = 1) -> Model:
         raise ValueError(f"model atoms must include {TRUNCATION_ATOM!r}")
     if depth == INFINITE_DEPTH or depth < 0:
         raise ValueError("model depth must be a finite natural number")
-    if depth > max_depth:
-        raise LimitExceeded(
-            f"depth {depth} exceeds the cap of {max_depth}; override with max_depth"
-        )
+    if max_depth is not None and depth > max_depth:
+        raise LimitExceeded(f"depth {depth} exceeds the cap of {max_depth}")
 
     atom_exprs = None
     level = None
@@ -317,11 +319,7 @@ def build_model(atoms, depth: int, *, max_depth: int = 1) -> Model:
         size, below = (len(level.carrier), len(level.units)) if level else (0, 0)
         units, primes = len(names) + size * below, len(names) + size**2
         need = 2 * (CARRIER_CAP + 1) * (units + below + primes) // 8
-        if need > MATRIX_CAP_BYTES:
-            raise LimitExceeded(
-                f"closure over {primes} primes and {units} units could hold {need}"
-                f" bytes; the cap is {MATRIX_CAP_BYTES}"
-            )
+        _check_bytes(need, f"closure over {primes} primes and {units} units could hold")
         atom_exprs = atom_exprs or [Atom(a) for a in names]
         level = _close_level(atom_exprs, level)
 

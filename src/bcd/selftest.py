@@ -228,7 +228,7 @@ def criterion_carrier_counts():
     problems = []
     sizes = []
     for atoms, depth, expected in cases:
-        model = build_model(atoms, depth, max_depth=2)
+        model = build_model(atoms, depth)
         bound = stack_of_twos(depth + 1, len(atoms) + depth)
         sizes.append(f"|F({depth})| over {{{','.join(atoms)}}} = {model.size} (bound {bound})")
         if model.size != expected:

@@ -13,6 +13,8 @@ from bcd.cli import run
 from bcd.decide import MATRIX_CAP_BYTES
 from bcd.selftest import DESK_SCALE, FULL_SCALE
 
+from conftest import alarm
+
 DEEP_PARENS = "(" * 30000 + "a" + ")" * 30000
 LONG_CHAIN = "->".join(["a"] * 25001)
 # ((x -> a) -> a) ... -> a with 25,001 atoms: deciding two of these that
@@ -148,16 +150,51 @@ class TestModelVerb:
         assert run(["model", "--atoms", "@,p,q", "--depth", "0"]) == 0
         assert "carrier size: 7" in capsys.readouterr().out
 
-    def test_limit_override(self, capsys):
-        assert run(["model", "--atoms", "@,p,q", "--depth", "0", "--max-atoms", "3"]) == 2
+    @pytest.mark.parametrize(
+        "flag", ["--max-depth 2", "--max-atoms 3", "--max-candidates 10"],
+        ids=["max-depth", "max-atoms", "max-candidates"],
+    )
+    def test_removed_cap_flag_is_a_usage_error(self, capsys, flag):
+        assert run(["model", "--atoms", "@", "--depth", "0", *flag.split()]) == 2
 
     def test_carrier_cap_exit_3(self, capsys):
-        assert run(["model", "--atoms", "@,p", "--depth", "2", "--max-depth", "2"]) == 3
+        assert run(["model", "--atoms", "@,p", "--depth", "2"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("limit exceeded:")
 
-    def test_removed_candidate_flag_is_a_usage_error(self, capsys):
-        assert run(["model", "--atoms", "@", "--depth", "0", "--max-candidates", "10"]) == 2
+    @pytest.mark.parametrize("depth", ["3", "1000000"])
+    def test_deep_model_exit_3(self, capsys, depth):
+        # depth has no cap of its own: level 3 over {@} is refused in the closure
+        with alarm(5, f"--depth {depth} was not refused in 5 s"):
+            assert run(["model", "--atoms", "@", "--depth", depth]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("limit exceeded:")
+
+    @pytest.mark.parametrize(
+        "atoms, depth, mode, k",
+        [
+            ("@,p,q", "1", [], 54871),
+            ("@,p,q", "1", ["--json"], 54871),
+            ("@," + ",".join("abcdefghijk"), "0", [], 4095),
+        ],
+        ids=["at_p_q-d1", "at_p_q-d1-json", "12_atoms-d0"],
+    )
+    def test_tables_over_the_byte_cap_exit_3(self, capsys, atoms, depth, mode, k):
+        # a table of k classes holds k * k slots of 8 bytes
+        assert run(["model", "--atoms", atoms, "--depth", depth, "--tables", *mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"limit exceeded: a table over {k} classes needs {8 * k * k} bytes;"
+            f" the cap is {MATRIX_CAP_BYTES}\n"
+        )
+
+    def test_eleven_atom_tables_print(self, capsys):
+        # 2,047 classes: 8 * 2047**2 bytes is under the cap
+        atoms = "@," + ",".join("abcdefghij")
+        assert run(["model", "--atoms", atoms, "--depth", "0", "--tables", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"carrier_size": 2047' in out and '"arrow_table": [[' in out
 
     def test_json_tables(self, capsys):
         assert run(["model", "--atoms", "@", "--depth", "1", "--json", "--tables"]) == 0
@@ -183,7 +220,7 @@ class TestModelVerb:
             ("--atoms @ --depth 1", "3543e3c41fa10c9b"),
             ("--atoms @,p --depth 0", "9c65b2bb3f065560"),
             ("--atoms @,p --depth 1", "c892912f8807bbcc"),
-            ("--atoms @ --depth 2 --max-depth 2", "e5c7e6cba2ad1e70"),
+            ("--atoms @ --depth 2", "e5c7e6cba2ad1e70"),
             ("--atoms @,p,q --depth 0", "663e1f8d142db549"),
         ],
     )
@@ -275,7 +312,7 @@ class TestHashSeedIndependence:
 # to run; what the CLI prints must not.
 DETERMINISM_ARGVS = [
     ["model", "--atoms", "@,p", "--depth", "1", "--tables", "--json"],
-    ["model", "--atoms", "@", "--depth", "2", "--max-depth", "2", "--tables", "--json"],
+    ["model", "--atoms", "@", "--depth", "2", "--tables", "--json"],
     ["eq", "(c->a)&(c->b)", "c->(a&b)", "--explain", "--json"],
     ["factors", "--json", "(c -> (b & a) & (a -> c)) & (b -> a & c) & (a & b -> c)"],
     ["nf", "--kind", "slat", "(b -> a) & (a & c -> b) & c & (b -> a) & (c -> a & b) & a"],
@@ -300,6 +337,26 @@ class TestDeterminismAcrossHashSeeds:
             outs.append(proc.stdout)
         assert outs[0]
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestReaderLeaves:
+    def test_closed_pipe_exits_141_quietly(self):
+        # the reader takes two lines and closes the pipe while the carrier of
+        # 54,871 classes is still being written: no traceback, and not exit 1,
+        # which means "decided false"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bcd.cli", "model", "--atoms", "@,p,q", "--depth", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert lines == [b"atoms: @, p, q\n", b"depth: 1\n"]
+        assert err == b""
 
 
 class TestUsage:

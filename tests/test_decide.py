@@ -15,7 +15,7 @@ from bcd.decide import (
     subseteq,
     subtype_matrix,
 )
-from bcd.factors import factor_to_expr, factors, sorted_factors
+from bcd.factors import Factor, factor_groups, factor_to_expr, factors, sorted_groups
 from bcd.gen import all_exprs, random_expr, witness_pool
 from bcd.rewrite import (
     ASSO,
@@ -394,13 +394,22 @@ class TestExplain:
             assert explain(a, b)["holds"] == subseteq(a, b)
 
 
+def _display_factors(e):
+    """The factors of e in display order, as the CLI and explain read them."""
+    return [
+        Factor(args, head)
+        for (head, _), pairs in sorted_groups(factor_groups(e)).items()
+        for _, args in pairs
+    ]
+
+
 def _reference_explain(a, b):
     """The unmemoized matcher that explain replaced: every candidate factor
     is re-decided by explaining its arguments from scratch."""
     obligations = []
     holds = True
-    fas = sorted_factors(a)
-    for fb in sorted_factors(b):
+    fas = _display_factors(a)
+    for fb in _display_factors(b):
         matched = None
         for fa in fas:
             if fa.head != fb.head or fa.arity != fb.arity:

@@ -2,18 +2,18 @@
 
 bcd.factors reads every factor off one loop over the asked expression's
 strictly positive spine.  The functions below are verbatim copies of the
-memoized recursion `factors` and of `sorted_factors` that this replaced
+memoized recursion `factors` and of the `sorted_factors` that this replaced
 (they build Factors of the unchanged bcd.factors.Factor), kept so that the
 pins compare the walk with the code it must agree with: the same factor
-sets, the same display order, and groups that hold each factor once, on
-seeded random trees, on random DAGs that share subterms, and on a nest of
-shared meets that a walk without a visited set would take exponential time
-over.
+sets, the same display order from `sorted_groups`, which the CLI and
+`explain` read, and groups that hold each factor once, on seeded random
+trees, on random DAGs that share subterms, and on a nest of shared meets
+that a walk without a visited set would take exponential time over.
 """
 
 import random
 
-from bcd.factors import Factor, factor_groups, factor_to_expr, factors, sorted_factors
+from bcd.factors import Factor, factor_groups, factor_to_expr, factors, sorted_groups
 from bcd.gen import random_expr
 from bcd.syntax import Arrow, Atom, Expr, Meet, parse, render
 
@@ -63,7 +63,10 @@ def _pin(e):
     assert len(flat) == len(set(flat)), "a factor listed twice"
     assert all(len(args) == arity for (_, arity), argss in groups.items() for args in argss)
     assert {Factor(args, head) for args, head in flat} == want
-    assert sorted_factors(e) == reference_sorted_factors(e)
+    shown = [
+        Factor(args, head) for (head, _), pairs in sorted_groups(groups).items() for _, args in pairs
+    ]
+    assert shown == reference_sorted_factors(e)
 
 
 def _random_dag(rng, atoms, steps):

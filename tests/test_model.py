@@ -60,7 +60,7 @@ def _levels_before_refusal(monkeypatch, atoms, depth, primes):
     monkeypatch.setattr("bcd.model._close_level", close_level)
     message = f"^closure over {primes} primes .* bytes; the cap is"
     with pytest.raises(LimitExceeded, match=message):
-        build_model(atoms, depth, max_depth=depth)
+        build_model(atoms, depth)
     return levels
 
 
@@ -94,7 +94,7 @@ class TestBuildModel:
 
     def test_carrier_pairwise_non_congruent(self):
         for atoms, depth in ((("@",), 1), (("@", "p"), 0), (("@", "p"), 1), (("@",), 2)):
-            m = build_model(atoms, depth, max_depth=2)
+            m = build_model(atoms, depth)
             cache = DecisionCache()
             for a, b in combinations(m.carrier, 2):
                 assert not cache.equiv(a, b)
@@ -136,8 +136,9 @@ class TestBuildModel:
         assert [parse(render(e)) for e in m.carrier] == list(m.carrier)
 
     def test_limits(self):
-        with pytest.raises(LimitExceeded):
-            build_model(["@"], 2)
+        assert build_model(["@"], 2).size == 49  # depth has no cap of its own
+        with pytest.raises(LimitExceeded, match="^depth 2 exceeds the cap of 1$"):
+            build_model(["@"], 2, max_depth=1)
         m = build_model(["@", "p", "q"], 0)
         assert m.size == 7  # nonempty subsets of three incomparable atoms
 
@@ -147,7 +148,7 @@ class TestBuildModel:
     def test_carrier_cap_refuses_in_the_closure(self, atoms, depth):
         with alarm(10, f"{atoms} at depth {depth} was not refused in 10 s"):
             with pytest.raises(LimitExceeded, match=f"classes after .* cap of {CARRIER_CAP}$"):
-                build_model(atoms, depth, max_depth=depth)
+                build_model(atoms, depth)
 
     def test_carrier_cap_refuses_before_the_primes(self, monkeypatch):
         built = _levels_before_refusal(monkeypatch, ["@", "p", "q"], 2, 3 + 54871**2)
@@ -226,19 +227,19 @@ def _reference_build(atoms, depth):
 
 class TestReferenceEnumeration:
     @pytest.mark.parametrize(
-        "atoms, depth, caps",
+        "atoms, depth",
         [
-            (("@",), 0, {}),
-            (("@",), 1, {}),
-            (("@", "p"), 0, {}),
-            (("@", "p"), 1, {}),
-            (("@",), 2, {"max_depth": 2}),
-            (("@", "p", "q"), 0, {}),
+            (("@",), 0),
+            (("@",), 1),
+            (("@", "p"), 0),
+            (("@", "p"), 1),
+            (("@",), 2),
+            (("@", "p", "q"), 0),
         ],
         ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
     )
-    def test_matches_subset_enumeration(self, atoms, depth, caps):
-        m = build_model(atoms, depth, **caps)
+    def test_matches_subset_enumeration(self, atoms, depth):
+        m = build_model(atoms, depth)
         carrier, meet_table, arrow_table, atom_index = _reference_build(atoms, depth)
         assert len(m.carrier) == len(carrier)
         assert all(x is y for x, y in zip(m.carrier, carrier))
@@ -290,14 +291,14 @@ class TestCloseLevel:
 
 
 _SIX = pytest.mark.parametrize(
-    "atoms, depth, caps",
+    "atoms, depth",
     [
-        (("@",), 0, {}),
-        (("@",), 1, {}),
-        (("@", "p"), 0, {}),
-        (("@", "p"), 1, {}),
-        (("@",), 2, {"max_depth": 2}),
-        (("@", "p", "q"), 0, {}),
+        (("@",), 0),
+        (("@",), 1),
+        (("@", "p"), 0),
+        (("@", "p"), 1),
+        (("@",), 2),
+        (("@", "p", "q"), 0),
     ],
     ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
 )
@@ -309,13 +310,13 @@ class TestNoDecisionInTheBuild:
     come from the decider."""
 
     @_SIX
-    def test_builds_with_the_decider_refusing(self, monkeypatch, atoms, depth, caps):
+    def test_builds_with_the_decider_refusing(self, monkeypatch, atoms, depth):
         def refuse(cache, a, b):
             raise AssertionError(f"build_model asked the decider about {a!r} <= {b!r}")
 
         with monkeypatch.context() as patched:
             patched.setattr(DecisionCache, "subseteq", refuse)
-            m = build_model(atoms, depth, **caps)
+            m = build_model(atoms, depth)
             meet_table, arrow_table = m.meet_table, m.arrow_table
             atom_index = {a: m.eval(Atom(a)) for a in m.atoms}
         reference = _reference_build(atoms, depth)
@@ -367,7 +368,7 @@ def models():
         build_model(["@"], 1),
         build_model(["@", "p"], 0),
         build_model(["@", "p"], 1),
-        build_model(["@"], 2, max_depth=2),
+        build_model(["@"], 2),
     ]
 
 
@@ -424,6 +425,27 @@ class TestTables:
                 for a in range(K):
                     for b in range(K):
                         assert below[mt[at[c][a]][at[c][b]]][at[c][mt[a][b]]]
+
+    def test_tables_form_a_model(self, models):
+        # over all triples, reading x <= y as meet[x][y] == x: meet is a
+        # semilattice, arrow distributes over a meet in its target, and arrow
+        # is antitone in its source and monotone in its target
+        for m in models:
+            K = range(m.size)
+            mt, at = m.meet_table, m.arrow_table
+            for x in K:
+                assert mt[x][x] == x
+                mx, ax = mt[x], at[x]
+                for y in K:
+                    assert mx[y] == mt[y][x]
+                    mxy, my, ay = mt[mx[y]], mt[y], at[y]
+                    x_le_y = mx[y] == x
+                    for z in K:
+                        assert mxy[z] == mx[my[z]]
+                        assert ax[my[z]] == mt[ax[y]][ax[z]]
+                        if x_le_y:
+                            assert mt[ay[z]][ax[z]] == ay[z]
+                            assert mt[at[z][x]][at[z][y]] == at[z][x]
 
 
 def _at_limit_1000(fn, *args):

@@ -5,6 +5,7 @@ other public name on first use, so these checks look at fresh processes,
 where no earlier test has loaded a submodule yet.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -111,3 +112,34 @@ class TestModuleHomes:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+def _cap_mentions(tree):
+    """(enclosing function or None, use) for each MATRIX_CAP_BYTES in tree, as
+    a name, an attribute or an imported alias."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if "MATRIX_CAP_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((fn, type(node.ctx).__name__))
+        elif isinstance(node, ast.alias) and "MATRIX_CAP_BYTES" in (node.name, node.asname):
+            found.append((fn, "import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+class TestByteCapInOnePlace:
+    def test_only_check_bytes_reads_the_cap(self):
+        # every byte refusal goes through decide._check_bytes, so the cap is
+        # decided in one place
+        for path in sorted(Path(SRC, "bcd").glob("*.py")):
+            found = _cap_mentions(ast.parse(path.read_text()))
+            if path.name == "decide.py":
+                assert found == [(None, "Store"), ("_check_bytes", "Load"), ("_check_bytes", "Load")]
+            else:
+                assert found == [], path.name

@@ -14,7 +14,7 @@ from hypothesis import given
 
 from bcd import syntax
 from bcd.decide import equiv, explain
-from bcd.factors import factor_to_expr, sorted_factors
+from bcd.factors import factor_groups, sorted_groups
 from bcd.gen import random_expr
 from bcd.rewrite import (
     Verdict,
@@ -783,7 +783,7 @@ def _outputs(texts: list) -> list:
         a, b = parse(a_text), parse(b_text)
         out.append(render(slat_canonical(a)))
         out.append(render(prune(a)))
-        out.append([render(factor_to_expr(f)) for f in sorted_factors(a)])
+        out.append([t for pairs in sorted_groups(factor_groups(a)).values() for t, _ in pairs])
         out.append([render(w) for w in default_witnesses(a, b)])
         out.append(json.dumps(explain(a, b)))
     return out
