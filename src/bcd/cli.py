@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
-recursion limit).  Parsing, ascii rendering, depth truncation, arrow depth,
+recursion limit, and a MemoryError, reported as "limit exceeded: out of
+memory").  Parsing, ascii rendering, depth truncation, arrow depth,
 factoring and single rewrite steps never recurse, so `parse`, `factors` and
 `nf --kind dept` answer at any depth.  Deciding recurses only through arrow
 sources (a factor's arguments), so `le` and `eq` answer on a right-nested
@@ -271,6 +272,9 @@ def run(argv) -> int:
         return 3
     except RecursionError:
         print("limit exceeded: expression nested too deeply", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("limit exceeded: out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

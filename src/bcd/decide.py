@@ -11,10 +11,13 @@ sources (a factor's arguments); factoring does not recurse at all.
 Two implementations are provided: a memoized recursion on subexpression pairs
 (the workhorse), whose cache also builds explanations, and an explicit
 Boolean matrix over the subexpressions of a root, filled once per pair of
-distinct subexpressions in decreasing order of index sum; repeated
-subexpressions share one row.  Both read the (head, arity) groups of
-factors.factor_groups, the cache once per asked node; the matrix's fill is
-its own matching loop, so it stays an independent check on the recursion.
+distinct subexpressions whose (head, arity) key sets pass the subset test,
+in decreasing order of the smaller index; repeated subexpressions share one
+row.  Both read the (head, arity) groups of factors.factor_groups.  The
+cache keeps each asked node's groups on the node, as _groups, so every cache
+shares them; the matrix numbers its own copy and keeps nothing.  The
+matrix's fill is its own matching loop, so it stays an independent check on
+the recursion.
 
 "@" receives no special treatment here, except in satisfies_eq: equality in
 the depth-n model, which by the finite model property is equiv over the two
@@ -26,6 +29,7 @@ threads, and behaves as if each query were evaluated in isolation.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .factors import factor_groups, sorted_groups
@@ -45,18 +49,26 @@ def _check_bytes(need: int, what: str) -> None:
 
 
 class DecisionCache:
-    """Memo table for subtype queries over a family of related expressions."""
+    """Memo table for subtype queries over a family of related expressions.
 
-    __slots__ = ("_sub", "_groups")
+    The cache holds only its pair answers.  Each asked node's factor groups
+    are kept on the node itself, as _groups, where every cache, and every
+    later query on that node, finds them: they depend on the node alone and
+    hold only its proper subterms, so the node still dies by reference
+    counting.
+    """
+
+    __slots__ = ("_sub",)
 
     def __init__(self):
         self._sub = {}
-        self._groups = {}  # each asked node's factor_groups
 
-    def _group(self, e: Expr) -> dict:
-        g = self._groups.get(e)
+    @staticmethod
+    def _group(e: Expr) -> dict:
+        """factor_groups(e), computed once per node; the only writer of _groups."""
+        g = e.__dict__.get("_groups")
         if g is None:
-            g = self._groups[e] = factor_groups(e)
+            g = e.__dict__["_groups"] = factor_groups(e)
         return g
 
     def subseteq(self, a: Expr, b: Expr) -> bool:
@@ -174,7 +186,7 @@ def _numbering(root: Expr):
     A class is a distinct subexpression, numbered in order of its last
     preorder occurrence.  Each occurrence of a node contains its factor
     arguments after it, so an argument's number exceeds its node's: that is
-    what lets the matrix fill entries in decreasing order of index sum.
+    what lets the matrix fill entries in decreasing order of min(i, j).
     """
     exprs = []
     stack = [root]
@@ -203,23 +215,55 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
     """Fill the full subexpression-pair matrix of the root.
 
     Entries are computed over the k classes of _numbering in decreasing
-    order of index sum i+j, each decided by factor matching over already-filled
-    deeper pairs, and each class row is expanded once to the preorder row its
-    occurrences share: k*k + k*n bytes for n nodes, refused with LimitExceeded
-    above MATRIX_CAP_BYTES.  Agrees pointwise with subseteq on every pair.
+    order of min(i, j): for each m, row m's entries (m, j >= m), then column
+    m's entries (i > m, m).  Entry (i, j) reads only entries (b, a) with
+    b > j and a > i, whose min is larger, so each is decided by factor
+    matching over pairs filled before it.  Only pairs whose key sets pass
+    the subset test are visited: each row and column takes its candidates
+    from the bitmask of the classes whose key sets lie below or above its
+    own.  Each class row is then expanded once, by one gather, to the
+    preorder row its occurrences share: k*k + k*n bytes for n nodes, refused
+    with LimitExceeded above MATRIX_CAP_BYTES.  Agrees pointwise with
+    subseteq on every pair.
     """
     exprs, number, grouped = _numbering(root)
     k = len(number)
     keysets = [frozenset(g) for g in grouped]
+    members = {}  # key set -> bitmask of the classes that have it
+    for c, ks in enumerate(keysets):
+        members[ks] = members.get(ks, 0) | 1 << c
+    below = dict.fromkeys(members, 0)  # classes whose key set is a subset
+    above = dict.fromkeys(members, 0)  # classes whose key set is a superset
+    for ks, bits in members.items():
+        for other, other_bits in members.items():
+            if other <= ks:
+                below[ks] |= other_bits
+                above[other] |= bits
     rows = [bytearray(k) for _ in range(k)]
-    for s in range(2 * k - 2, -1, -1):
-        for i in range(max(0, s - k + 1), min(k - 1, s) + 1):
-            j = s - i
-            if keysets[j] <= keysets[i] and _matrix_entry(grouped[i], grouped[j], rows):
-                rows[i][j] = 1
+    for m in range(k - 1, -1, -1):
+        gm, row, ks = grouped[m], rows[m], keysets[m]
+        for j in _set_bits(below[ks], m):
+            if _matrix_entry(gm, grouped[j], rows):
+                row[j] = 1
+        for i in _set_bits(above[ks], m + 1):
+            if _matrix_entry(grouped[i], gm, rows):
+                rows[i][m] = 1
     cls = [number[x] for x in exprs]
-    shared = [bytes(map(row.__getitem__, cls)) for row in rows]
+    if len(cls) == 1:  # itemgetter of one index gives a scalar, not a tuple
+        shared = [bytes(rows[0])]
+    else:
+        gather = itemgetter(*cls)
+        shared = [bytes(gather(row)) for row in rows]
     return SubtypeMatrix(tuple(exprs), tuple(shared[c] for c in cls))
+
+
+def _set_bits(mask: int, start: int):
+    """The positions of the set bits of mask from start on, lowest first."""
+    text = bin(mask >> start)[:1:-1]
+    j = text.find("1")
+    while j >= 0:
+        yield start + j
+        j = text.find("1", j + 1)
 
 
 def _matrix_entry(gi: dict, gj: dict, rows) -> int:

@@ -58,7 +58,6 @@ from .syntax import (
     _preorder,
     _rebuild,
     render,
-    subexpressions,
 )
 
 RULE_KINDS = ("asso", "asso_inv", "comm", "idem", "absp", "dist", "dept")
@@ -626,9 +625,18 @@ def _state_key(state: tuple) -> str:
 
 
 def default_witnesses(*exprs: Expr) -> list:
-    """Deduplicated slat-canonical subexpressions of the given expressions."""
-    pool = {slat_canonical(sub) for e in exprs for _, sub in subexpressions(e)}
-    return sorted(pool, key=render)
+    """Deduplicated slat-canonical subexpressions of the given expressions,
+    collected by one walk over their distinct subterms."""
+    seen, stack = set(), list(exprs)
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if x.__class__ is Arrow:
+                stack += (x.source, x.target)
+            elif x.__class__ is Meet:
+                stack += (x.left, x.right)
+    return sorted({slat_canonical(x) for x in seen}, key=render)
 
 
 def convertible_bounded(
@@ -689,7 +697,15 @@ def convertible_bounded(
                 continue
             state = queue.popleft()
             spent[idx] += 1
-            for nb in sorted(_member_successors(state, witnesses, moves), key=_state_key):
+            # The sides' seen sets stay disjoint (a shared state confirms as
+            # it is added), so a successor seen here with its pruned form can
+            # neither confirm nor be queued: drop it before the sort.
+            fresh = [
+                nb
+                for nb in _member_successors(state, witnesses, moves)
+                if nb not in seen or pruned(nb) not in seen
+            ]
+            for nb in sorted(fresh, key=_state_key):
                 for candidate in (nb, pruned(nb)):
                     if candidate in other:
                         return Verdict.CONFIRMED

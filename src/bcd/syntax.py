@@ -39,6 +39,14 @@ keeps one string, not one per suffix, so its memory stays linear in the
 text.  A subterm that was itself rendered earlier lends its cached text
 whole.
 
+Because a node is the one live copy of its structure, a value computed from
+the node alone can be kept on it and serves every occurrence.  No such
+node cache refers back to its node, so every node still dies by reference
+counting.  They are render's _text; dept_normal_form's _dept, the last depth
+asked and its truncation (True when that is the node itself);
+bcd.decide.DecisionCache's _groups, the node's factor groups; and
+bcd.rewrite's _slat, _members and _memberset.
+
 All values are immutable after construction and every operation here is pure,
 so the module is safe for unsynchronized concurrent use.  Interning is too: a
 table entry is added only where none exists and removed only once its node is
@@ -555,12 +563,19 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
     entries, so no depth reaches the recursion limit; a subterm that the
     truncation leaves unchanged is returned as it is, without a lookup, and
     each other subterm's truncation is kept per arrow count for the call, so
-    a shared subterm is walked once per count.
+    a shared subterm is walked once per count.  The answer is cached on e
+    alone as _dept = (n, truncation), or (n, True) when the truncation is e,
+    so asking e again at the same depth costs no walk and no node refers to
+    itself.
     """
     if n == INFINITE_DEPTH:
         return e
     if n < 0:
         raise ValueError("depth must be a natural number")
+    cached = e.__dict__.get("_dept")
+    if cached is not None and cached[0] == n:
+        t = cached[1]
+        return e if t is True else t
     done = []  # truncated subterms, in postorder
     memo = {}  # (node, arrows above it) -> its truncation
     stack = [e, 0]  # flat pairs; a negative count ~above rebuilds the node
@@ -594,7 +609,9 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
             done.append(t)
         else:
             stack += (x, ~above, x.right, above, x.left, above)
-    return done[0]
+    t = done[0]
+    e.__dict__["_dept"] = (n, True if t is e else t)
+    return t
 
 
 def polarity(e: Expr, pos: Position) -> Polarity:

@@ -426,6 +426,22 @@ class TestValueErrorExit:
         assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+class TestMemoryErrorExit:
+    def test_memory_error_in_a_verb_exits_3(self, capsys, monkeypatch):
+        # running out of memory is a refused resource, not a "decided false"
+        from bcd import cli
+
+        def verb(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._DISPATCH, "le", verb)
+        assert run(["le", "a", "b"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "limit exceeded: out of memory\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 # Like LOADED_PROBE, but it imports no json (it prints a repr), and it also
 # lists the json modules the process loaded.
 LOADED_PROBE_NO_JSON = (

@@ -143,3 +143,62 @@ class TestByteCapInOnePlace:
                 assert found == [(None, "Store"), ("_check_bytes", "Load"), ("_check_bytes", "Load")]
             else:
                 assert found == [], path.name
+
+
+def _cache_writes(tree, key):
+    """The enclosing function (or None) of each place in tree that may write
+    the node cache key: every mention of the string key, or store to an
+    attribute of that name, except a subscript load and the key argument of
+    a get or getattr call."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            reads.add(id(node.slice))
+        elif isinstance(node, ast.Call):
+            if getattr(node.func, "attr", None) == "get" and node.args:
+                reads.add(id(node.args[0]))
+            elif getattr(node.func, "id", None) == "getattr" and len(node.args) > 1:
+                reads.add(id(node.args[1]))
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Constant) and node.value == key and id(node) not in reads:
+            found.append(fn)
+        elif isinstance(node, ast.Attribute) and node.attr == key and not isinstance(
+            node.ctx, ast.Load
+        ):
+            found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+class TestNodeCachesHaveOneWriter:
+    @pytest.mark.parametrize(
+        "key, home, writer",
+        [("_groups", "decide.py", "_group"), ("_dept", "syntax.py", "dept_normal_form")],
+    )
+    def test_one_writer_per_key(self, key, home, writer):
+        # each node cache is written in one place, so one function decides
+        # what it holds
+        writes = {}
+        for path in sorted(Path(SRC, "bcd").glob("*.py")):
+            found = _cache_writes(ast.parse(path.read_text()), key)
+            if found:
+                writes[path.name] = found
+        assert writes == {home: [writer]}
+
+    def test_factor_groups_and_the_cache_keep_nothing_of_their_own(self):
+        from bcd.decide import DecisionCache
+        from bcd.factors import factor_groups
+
+        assert DecisionCache.__slots__ == ("_sub",)
+        e = bcd.parse("nc_a -> (nc_b & (nc_c -> nc_a))")
+        factor_groups(e)
+        assert "_groups" not in e.__dict__
+        assert DecisionCache().subseteq(e, bcd.parse("nc_a -> nc_b"))
+        assert e.__dict__["_groups"] == factor_groups(e)

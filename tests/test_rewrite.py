@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcd.decide import DecisionCache
+from bcd.factors import factor_groups
 from bcd.rewrite import (
     ASSO,
     ASSO_INV,
@@ -893,6 +894,12 @@ class TestNodeCaches:
                 marked += 1
             elif slat is not None:
                 assert _reference_slat(node) is slat, render(node)
+            if "_groups" in cached:
+                assert cached["_groups"] == factor_groups(node), render(node)
+            if "_dept" in cached:
+                # drop the cached answer, so that the truncation is walked afresh
+                n, t = cached.pop("_dept")
+                assert dept_normal_form(node, n) is (node if t is True else t), render(node)
             if node.__class__ is not Meet:
                 assert "_members" not in cached and "_memberset" not in cached, render(node)
                 continue
@@ -908,6 +915,8 @@ class TestNodeCaches:
         slat_seen = self._record_slat(monkeypatch)
         built = self._keep_built(monkeypatch)
         universe = all_exprs(("@", "p"), 4)
+        for a in universe:
+            dept_normal_form(a, 1)
         cache = DecisionCache()
         memo = {}
         for i, a in enumerate(universe):

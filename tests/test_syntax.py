@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given
 
 from bcd import syntax
-from bcd.decide import equiv, explain
+from bcd.decide import DecisionCache, equiv, explain, satisfies_eq
 from bcd.factors import factor_groups, sorted_groups
 from bcd.gen import random_expr
+from bcd.model import build_model
 from bcd.rewrite import (
     Verdict,
     convertible_bounded,
@@ -738,6 +739,45 @@ class TestInterning:
             if enabled:
                 gc.enable()
 
+    def test_decided_nodes_die_without_a_collection(self, monkeypatch):
+        # The node caches that deciding fills, each node's factor groups and
+        # last truncation, hold only other nodes, so every node that
+        # satisfies_eq, class_index and explain ask about or build dies by
+        # reference counting alone, and so does the model's carrier.
+        built = []
+        publish = syntax._publish
+
+        def recording(key, node):
+            node = publish(key, node)
+            built.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(syntax, "_publish", recording)
+        rng = random.Random(23)
+        sizes = [2 * rng.randint(1, 20) + 1 for _ in range(60)]
+        texts = [_tree_text(_tree(rng, n, ("dd_a", "@"))) for n in sizes]
+        gc.collect()
+        before = len(syntax._table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = build_model(["@", "dd_a"], 1)
+            cache = DecisionCache()
+            for k in range(0, len(texts), 2):
+                a, b = parse(texts[k]), parse(texts[k + 1])
+                for n in (2, 0, 1):
+                    same = satisfies_eq(n, a, b)
+                assert (model.class_index(a) == model.class_index(b)) == same
+                assert cache.explain(a, b)["holds"] == cache.subseteq(a, b)
+            assert len(built) > 200
+            del model, cache, a, b
+            assert sum(r() is not None for r in built) == 0
+            assert len(syntax._table) == before
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("first", ["parse", "build"])
     def test_one_publication_per_new_subterm(self, monkeypatch, first):
         published = []
@@ -835,6 +875,18 @@ class TestDeptNormalFormLoop:
         for _ in range(3000):
             e = random_expr(rng, rng.randint(1, 199), ("a", "b", "@"))
             assert syntax.dept_normal_form(e, n) is _recursive_dept_normal_form(e, n)
+
+    def test_one_node_asked_at_shuffled_depths(self):
+        # the node keeps only its last answer, so every depth, asked in any
+        # order and asked again, is still the uncached truncation
+        rng = random.Random(4200)
+        for _ in range(300):
+            e = random_expr(rng, rng.randint(1, 199), ("a", "b", "@"))
+            depths = [0, 1, 2, 3] * 2
+            rng.shuffle(depths)
+            for n in depths:
+                assert syntax.dept_normal_form(e, n) is _recursive_dept_normal_form(e, n)
+                assert e.__dict__["_dept"][0] == n
 
     def test_depth_checks(self):
         e = parse("a -> b")
