@@ -126,16 +126,27 @@ def _cmd_model(args) -> int:
     tables = (model.meet_table, model.arrow_table) if args.tables else ()
     bound = stack_of_twos(args.depth + 1, len(model.atoms) + args.depth)
     if args.json:
-        obj = {
-            "atoms": list(model.atoms),
-            "depth": model.depth,
-            "carrier_size": model.size,
-            "bound": bound,
-            "carrier": [render(e) for e in model.carrier],
-        }
-        if tables:
-            obj["meet_table"], obj["arrow_table"] = ([list(r) for r in t] for t in tables)
-        _emit(obj)
+        import json
+
+        head = json.dumps(
+            {
+                "atoms": list(model.atoms),
+                "depth": model.depth,
+                "carrier_size": model.size,
+                "bound": bound,
+                "carrier": [render(e) for e in model.carrier],
+            }
+        )
+        # the tables' rows are written one at a time, as json.dumps would
+        # write them, so no copy of a table and no whole text is held
+        write = sys.stdout.write
+        write(head[:-1])
+        for name, table in zip(("meet_table", "arrow_table"), tables):
+            write(f', "{name}": [')
+            for i, row in enumerate(table):
+                write(", " + json.dumps(row) if i else json.dumps(row))
+            write("]")
+        write("}\n")
     else:
         print(f"atoms: {', '.join(model.atoms)}")
         print(f"depth: {model.depth}")

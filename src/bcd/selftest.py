@@ -40,6 +40,7 @@ from .rewrite import (
 )
 from .syntax import (
     Arrow,
+    Atom,
     Expr,
     Meet,
     arrow_depth,
@@ -486,6 +487,88 @@ def criterion_matrix_agreement(roots: int = 100):
     return mismatches == 0, f"{detail}, {mismatches} mismatches"
 
 
+def _beta_decider():
+    """a <= b by beta-soundness, as a function memoized on pairs and
+    recursive, that reads no factor walk.  With no top element, a <= b iff
+    each member y of b's meet spine is an atom of a's spine, or is c -> d
+    where the targets of the arrows s -> t of a's spine with c <= s are not
+    none and their meet is <= d."""
+    memo, spines = {}, {}
+
+    def spine(e: Expr) -> list:
+        out = spines.get(e)
+        if out is None:
+            out, stack = [], [e]
+            while stack:
+                x = stack.pop()
+                if x.__class__ is Meet:
+                    stack += (x.right, x.left)
+                else:
+                    out.append(x)
+            spines[e] = out
+        return out
+
+    def below(a: Expr, b: Expr) -> bool:
+        got = memo.get((a, b))
+        if got is None:
+            have = spine(a)
+            got = True
+            for y in spine(b):
+                if y.__class__ is Atom:
+                    ok = y in have
+                else:
+                    meet = None
+                    for x in have:
+                        if x.__class__ is Arrow and below(y.source, x.source):
+                            meet = x.target if meet is None else Meet(meet, x.target)
+                    ok = meet is not None and below(meet, y.target)
+                if not ok:
+                    got = False
+                    break
+            memo[a, b] = got
+        return got
+
+    return below
+
+
+def criterion_beta_soundness(max_nodes: int = 7, samples: int = 500):
+    """The beta-soundness decider against DecisionCache on every ordered pair
+    of the {@,p} expressions with at most max_nodes nodes, and on both
+    directions of distributivity, absorption, contravariance and covariance
+    instances of 20-200 nodes."""
+    rng = random.Random(112)
+    atoms = ("a", "b", "c")
+
+    def part() -> Expr:
+        return random_expr(rng, rng.randint(5, 49), atoms)
+
+    universe = all_exprs(("@", "p"), max_nodes)
+    pairs = [(a, b) for a in universe for b in universe]
+    for _ in range(samples):
+        a, b, s, w = part(), part(), part(), part()
+        for lhs, rhs in (
+            (Arrow(s, Meet(a, b)), Meet(Arrow(s, a), Arrow(s, b))),
+            (Arrow(a, b), Meet(Arrow(a, b), Arrow(Meet(a, w), b))),
+            (Arrow(a, b), Arrow(Meet(a, w), b)),
+            (Arrow(a, Meet(b, w)), Arrow(a, b)),
+        ):
+            pairs += ((lhs, rhs), (rhs, lhs))
+    t0 = time.perf_counter()
+    cache, beta_below = DecisionCache(), _beta_decider()
+    true_pairs = disagreements = 0
+    for a, b in pairs:
+        holds = beta_below(a, b)
+        true_pairs += holds
+        disagreements += holds != cache.subseteq(a, b)
+    elapsed = time.perf_counter() - t0
+    detail = (
+        f"{len(universe)} expressions ({len(universe) ** 2} ordered pairs) and "
+        f"{8 * samples} law pairs, {true_pairs} true, {disagreements} disagreements, "
+        f"{elapsed:.2f}s"
+    )
+    return disagreements == 0, detail
+
+
 FULL_SCALE = [
     ("01 law suite", criterion_law_suite),
     ("02 oracle agreement", criterion_oracle_agreement),
@@ -498,6 +581,7 @@ FULL_SCALE = [
     ("09 conservation", criterion_conservation),
     ("10 scaling", criterion_scaling),
     ("11 matrix agreement", criterion_matrix_agreement),
+    ("12 beta soundness", criterion_beta_soundness),
 ]
 
 DESK_SCALE = {
@@ -511,6 +595,7 @@ DESK_SCALE = {
     "09 conservation": {"samples": 30},
     "10 scaling": {"sizes": (100, 200, 400)},
     "11 matrix agreement": {"roots": 10},
+    "12 beta soundness": {"max_nodes": 5, "samples": 40},
 }
 
 

@@ -15,8 +15,11 @@ for discarded subexpressions.
 Nodes are hash-consed: Atom, Arrow and Meet return the one live node of each
 structure, so == and hash are identity, O(1) at any depth, and a cache filled
 on one occurrence of a subtree serves every occurrence.  The intern table
-keys children by id() and holds nodes weakly, so it keeps nothing alive.
-Hash order thus follows allocation order; output is ordered by rendering.
+keys an arrow or meet by its class and its two child nodes themselves, and
+holds each node weakly; a key goes with its entry when the node dies, so the
+table keeps alive no child that a live parent does not already hold, and a
+lookup makes no integer.  Hash order thus follows allocation order; output
+is ordered by rendering.
 The constructors, and parse for each meet and arrow it closes, look the
 live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
@@ -94,7 +97,7 @@ class InvalidPosition(ValueError):
 # ---------------------------------------------------------------------------
 # Interned nodes
 
-_table: dict = {}  # (class, name or child ids) -> _Ref to the live node
+_table: dict = {}  # (Atom, name) or (class, child, child) -> _Ref to the live node
 _get = _table.get
 _new = object.__new__
 
@@ -189,7 +192,7 @@ class Arrow(_Node):
     __slots__ = ("source", "target")
 
     def __new__(cls, source: "Expr", target: "Expr"):
-        key = (cls, id(source), id(target))
+        key = (cls, source, target)
         ref = _get(key)
         node = None if ref is None else ref()
         return _miss(key, source, target) if node is None else node
@@ -199,7 +202,7 @@ class Meet(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: "Expr", right: "Expr"):
-        key = (cls, id(left), id(right))
+        key = (cls, left, right)
         ref = _get(key)
         node = None if ref is None else ref()
         return _miss(key, left, right) if node is None else node
@@ -315,7 +318,7 @@ def parse(text: str) -> Expr:
             if meet is None:
                 meet = x
             else:
-                key = (Meet, id(meet), id(x))
+                key = (Meet, meet, x)
                 ref = _get(key)
                 node = None if ref is None else ref()
                 meet = _miss(key, meet, x) if node is None else node
@@ -328,7 +331,7 @@ def parse(text: str) -> Expr:
                 break
             x = meet
             for s in reversed(sources):
-                key = (Arrow, id(s), id(x))
+                key = (Arrow, s, x)
                 ref = _get(key)
                 node = None if ref is None else ref()
                 x = _miss(key, s, x) if node is None else node

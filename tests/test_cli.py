@@ -204,6 +204,22 @@ class TestModelVerb:
         assert len(obj["meet_table"]) == 3
         assert len(obj["arrow_table"]) == 3
 
+    def test_json_tables_hold_no_more_than_text(self, capsys):
+        # 8 atoms, 255 classes: --json writes the rows from the tables, so it
+        # holds neither a copy of a table nor the whole text
+        argv = ["model", "--atoms", "@,a,b,c,d,e,f,g", "--depth", "0", "--tables"]
+        assert run(argv) == 0  # imports and first-call caches are not measured
+        peaks = []
+        for mode in ([], ["--json"]):
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert run([*argv, *mode]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_missing_truncation_atom(self, capsys):
         assert run(["model", "--atoms", "p", "--depth", "0"]) == 2
 
@@ -308,7 +324,7 @@ class TestHashSeedIndependence:
         assert outs[0] == outs[1]
 
 
-# Interning keys nodes by id(), so hash and allocation order differ from run
+# Nodes hash by identity, so hash and allocation order differ from run
 # to run; what the CLI prints must not.
 DETERMINISM_ARGVS = [
     ["model", "--atoms", "@,p", "--depth", "1", "--tables", "--json"],

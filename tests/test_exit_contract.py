@@ -1,0 +1,83 @@
+"""The exit-code contract: every verb gives an answer or a clean refusal.
+
+Each row runs `python -m bcd.cli` in a child process that limits its own
+address space to 2 GB, under a timeout, and asserts the exit code and that
+stderr holds no traceback.  The shapes are as large as one command-line
+argument allows (131,071 bytes): a left-nested chain, a right-nested chain
+and an arrow into a 20,000-member meet, plus the explanation family s_k at
+k = 6.  A row whose refusal (exit 3) becomes an answer changes its expected
+exit code here.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ADDRESS_SPACE = 2 << 30  # bytes
+TIMEOUT = 30  # seconds; every row takes under a second on a desk machine
+
+
+def _left_chain(levels: int, inner: str) -> str:
+    """((inner -> a) -> a) ... -> a, with `levels` arrows."""
+    return "(" * (levels - 1) + inner + "->a" + ")->a" * (levels - 1)
+
+
+def _explain_family(k: int) -> str:
+    """s_k = s_{k-1} -> (p & q & r & t), s_0 = a."""
+    s = "a"
+    for _ in range(k):
+        s = f"({s})->(p&q&r&t)"
+    return s
+
+
+LEFT = _left_chain(26_214, "b")
+LEFT_OTHER = _left_chain(26_214, "c")
+RIGHT = "a" + "->a" * 43_689
+WIDE = "a->(" + "&".join(f"x{i}" for i in range(20_000)) + ")"
+S6 = _explain_family(6)
+
+ROWS = [
+    ("le-left", ["le", LEFT, LEFT_OTHER], 3),
+    ("eq-left", ["eq", LEFT, LEFT_OTHER], 3),
+    ("le-explain-left", ["le", "--explain", LEFT, LEFT_OTHER], 3),
+    ("sat-huge-depth-left", ["sat", "--depth", "1000000000", LEFT, LEFT_OTHER], 3),
+    ("parse-json-left", ["parse", "--json", LEFT], 3),
+    ("nf-dist-left", ["nf", "--kind", "dist", LEFT], 3),
+    ("nf-slat-left", ["nf", "--kind", "slat", LEFT], 3),
+    ("parse-left", ["parse", LEFT], 0),
+    ("factors-left", ["factors", LEFT], 0),
+    ("nf-dept-left", ["nf", "--kind", "dept", "--depth", "3", LEFT], 0),
+    ("sat-depth-5-left", ["sat", "--depth", "5", LEFT, LEFT], 0),
+    ("le-right", ["le", RIGHT, RIGHT], 0),
+    ("eq-right-atom", ["eq", RIGHT, "a"], 1),
+    ("nf-dist-wide", ["nf", "--kind", "dist", WIDE], 3),
+    ("eq-explain-s6", ["eq", "--explain", S6, S6], 0),
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def test_shapes_fit_one_argument():
+    assert max(len(text) for text in (LEFT, LEFT_OTHER, RIGHT, WIDE)) <= 131_071
+
+
+@pytest.mark.parametrize("argv, code", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_exit_code(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcd.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_address_space,
+        timeout=TIMEOUT,
+    )
+    assert b"Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
+    if code == 3:
+        assert proc.stderr.startswith(b"limit exceeded: ")

@@ -1,13 +1,16 @@
 import copy
 import gc
 import json
+import os
 import pickle
 import random
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -542,6 +545,21 @@ def _build(t):
     return (Arrow if kind == "->" else Meet)(_build(x), _build(y))
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+_HELD_PER_ENTRY = """
+import sys, tracemalloc
+from bcd import syntax
+text = sys.stdin.read()
+before = len(syntax._table)
+tracemalloc.start()
+e = syntax.parse(text)
+held = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+print(syntax.node_count(e), held / (len(syntax._table) - before))
+"""
+
+
 class TestInterning:
     @given(big_expr_strategy())
     def test_parse_is_identity(self, e):
@@ -682,7 +700,7 @@ class TestInterning:
 
     def test_parse_replaces_a_dead_meet_entry(self):
         a, b = Atom("pdead_a"), Atom("pdead_b")
-        key = (Meet, id(a), id(b))
+        key = (Meet, a, b)
         gone = _Gone()
         syntax._table[key] = weakref.ref(gone)
         del gone
@@ -690,6 +708,41 @@ class TestInterning:
         assert m.left is a and m.right is b
         assert syntax._table[key]() is m
         assert Meet(a, b) is m
+
+    def test_keys_hold_the_child_nodes(self):
+        rng = random.Random(29)
+        e = parse(_tree_text(_tree(rng, 2_001, ("key_a", "key_b", "key_c"))))
+        seen, stack = set(), [e, slat_canonical(e), prune(e)]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is Atom or x in seen:
+                continue
+            seen.add(x)
+            children = tuple(getattr(x, f) for f in x.__slots__)
+            ref = syntax._table.get((type(x), *children))
+            assert ref is not None and ref() is x, "a live node is not under its children"
+            stack += children
+        assert len(seen) > 1_000
+        assert not any(isinstance(part, int) for key in list(syntax._table) for part in key)
+
+    def test_a_parsed_entry_holds_under_320_bytes(self):
+        # The bytes that a 100,001-node parse holds per new table entry: the
+        # node, its weak reference, its key and the table's own growth.  A
+        # fresh interpreter grows the table the same way on every run.  Keys
+        # of two child ids held two ints more, about 363 bytes.
+        text = _tree_text(_tree(random.Random(31), 100_001, ("mem_a", "mem_b", "mem_c")))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HELD_PER_ENTRY],
+            input=text,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        nodes, per_entry = proc.stdout.split()
+        assert int(nodes) == 100_001
+        assert float(per_entry) < 320, per_entry
 
     def test_parsed_expression_dies_and_leaves_the_table_as_it_was(self):
         rng = random.Random(13)
