@@ -1,10 +1,11 @@
 """Intersection types without a top element: syntax, rewriting, a polynomial
 subtype decision procedure, and finite depth-truncation models.
 
-Importing the package loads `bcd.syntax` and `bcd.factors` only.  Every other
-public name is looked up in `_EXPORTS` and loads its submodule on first use,
-so a `bcd le` or `bcd sat` process never compiles the rewriting, model or
-self-test code.
+Importing the package loads no submodule.  Every public name is looked up in
+`_EXPORTS` and loads its submodule on first use, so a `bcd le` or `bcd sat`
+process never compiles the rewriting, model or self-test code.  No submodule
+shares its name with a public name, so importing a submodule never rebinds
+one.
 """
 
 _EXPORTS = {
@@ -14,9 +15,8 @@ _EXPORTS = {
                    "TRUNCATION_ATOM Arrow Atom Expr InvalidPosition Meet ParseError "
                    "Polarity arrow_depth atoms_of dept_normal_form ebb node_at node_count "
                    "parse polarity render replace_at subexpressions"),
-        ("factors", "Factor factor_to_expr factors"),
-        ("decide", "DecisionCache LimitExceeded SubtypeMatrix equiv explain satisfies_eq "
-                   "subseteq subtype_matrix"),
+        ("decide", "DecisionCache Factor LimitExceeded SubtypeMatrix equiv explain "
+                   "factor_to_expr factors satisfies_eq subseteq subtype_matrix"),
         ("model", "Model UnknownAtom build_model stack_of_twos"),
         ("rewrite", "ASSO ASSO_INV COMM DIST IDEM MissingParameter NotARedex Rule Trace "
                     "TraceStep Verdict absp apply convertible_bounded dept "
@@ -43,12 +43,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(__all__ + [n for n in globals() if n.startswith("__")])
 
-
-# The function `factors` shares its name with the submodule `bcd.factors`, and
-# the import system binds a submodule to the package attribute when it first
-# loads.  Loading `bcd.factors` here, before the function is bound, keeps a
-# later `import bcd.decide` (which loads it too) from replacing the function.
-for _name, _module in _EXPORTS.items():
-    if _module in ("syntax", "factors"):
-        __getattr__(_name)
-del _name, _module

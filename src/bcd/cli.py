@@ -13,7 +13,7 @@ RecursionError that deep input turns into exit 3.  --json switches output to
 a single JSON object on stdout; diagnostics go to stderr.  Exit 141 (128 +
 SIGPIPE) means that the reader of stdout left before the output ended.
 
-Only syntax, factors and decide are imported here, which is all that `parse`,
+Only syntax and decide are imported here, which is all that `parse`,
 `factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and
 `--kind slat`, `model`, `bench` and `selftest` import their own modules when
 called, and json is imported only to write JSON, so a call compiles no code
@@ -27,8 +27,14 @@ import os
 import sys
 import time
 
-from .decide import DecisionCache, LimitExceeded, satisfies_eq, subtype_matrix
-from .factors import factor_groups, sorted_groups
+from .decide import (
+    DecisionCache,
+    LimitExceeded,
+    factor_groups,
+    satisfies_eq,
+    sorted_groups,
+    subtype_matrix,
+)
 from .syntax import ParseError, dept_normal_form, parse, render, to_json_obj
 
 
@@ -153,10 +159,11 @@ def _cmd_model(args) -> int:
         print(f"carrier size: {model.size} (bound {bound})")
         for i, e in enumerate(model.carrier):
             print(f"  [{i}] {render(e)}")
+        row_format = "  " + " ".join(["%3d"] * model.size)
         for name, table in zip(("meet", "arrow"), tables):
             print(f"{name} table:")
             for row in table:
-                print("  " + " ".join(f"{v:3d}" for v in row))
+                print(row_format % row)
     return 0
 
 

@@ -12,8 +12,7 @@ import time
 from collections import Counter
 
 from .bench import fitted_exponent, scaling_run, time_decision
-from .decide import DecisionCache, satisfies_eq, subtype_matrix
-from .factors import factors
+from .decide import DecisionCache, factors, satisfies_eq, subtype_matrix
 from .gen import (
     all_exprs,
     random_expr,

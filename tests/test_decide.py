@@ -7,15 +7,19 @@ from hypothesis import given, settings
 
 from bcd.decide import (
     DecisionCache,
+    Factor,
     SubtypeMatrix,
     _numbering,
     equiv,
     explain,
+    factor_groups,
+    factor_to_expr,
+    factors,
     satisfies_eq,
+    sorted_groups,
     subseteq,
     subtype_matrix,
 )
-from bcd.factors import Factor, factor_groups, factor_to_expr, factors, sorted_groups
 from bcd.gen import all_exprs, random_expr, witness_pool
 from bcd.rewrite import (
     ASSO,

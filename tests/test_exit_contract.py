@@ -3,10 +3,11 @@
 Each row runs `python -m bcd.cli` in a child process that limits its own
 address space to 2 GB, under a timeout, and asserts the exit code and that
 stderr holds no traceback.  The shapes are as large as one command-line
-argument allows (131,071 bytes): a left-nested chain, a right-nested chain
-and an arrow into a 20,000-member meet, plus the explanation family s_k at
-k = 6.  A row whose refusal (exit 3) becomes an answer changes its expected
-exit code here.
+argument allows (131,071 bytes): a left-nested chain, a right-nested chain,
+an arrow into a 20,000-member meet, a meet of 15,798 atoms nested to the
+left and to the right, and a meet of 8,812 arrows, plus the explanation
+family s_k at k = 6.  A row whose refusal (exit 3) becomes an answer changes
+its expected exit code here.
 """
 
 import os
@@ -40,6 +41,28 @@ LEFT_OTHER = _left_chain(26_214, "c")
 RIGHT = "a" + "->a" * 43_689
 WIDE = "a->(" + "&".join(f"x{i}" for i in range(20_000)) + ")"
 S6 = _explain_family(6)
+SPINE_ATOMS = [f"x{i}" for i in range(15_798)]
+LEFT_MEET = " & ".join(SPINE_ATOMS)
+LEFT_MEET_REVERSED = " & ".join(reversed(SPINE_ATOMS))
+RIGHT_MEET = "&(".join(SPINE_ATOMS) + ")" * (len(SPINE_ATOMS) - 1)
+RIGHT_MEET_REVERSED = "&(".join(reversed(SPINE_ATOMS)) + ")" * (len(SPINE_ATOMS) - 1)
+ARROW_MEET = " & ".join(f"(x{i} -> a)" for i in range(8_812))
+
+
+def _meet_rows(name: str, meet: str, reversed_meet: str) -> list:
+    """Rows for a meet of atoms; `le` and `sat` compare it with its members
+    in reverse order, since one node against itself returns at once."""
+    return [
+        (f"le-{name}", ["le", meet, reversed_meet], 0),
+        (f"le-explain-{name}", ["le", "--explain", meet, reversed_meet], 0),
+        (f"eq-{name}-atom", ["eq", meet, "a"], 1),
+        (f"factors-{name}", ["factors", meet], 0),
+        (f"nf-dist-{name}", ["nf", "--kind", "dist", meet], 0),
+        (f"nf-slat-{name}", ["nf", "--kind", "slat", meet], 0),
+        (f"sat-depth-1-{name}", ["sat", "--depth", "1", meet, reversed_meet], 0),
+        (f"parse-json-{name}", ["parse", "--json", meet], 3),
+    ]
+
 
 ROWS = [
     ("le-left", ["le", LEFT, LEFT_OTHER], 3),
@@ -57,6 +80,15 @@ ROWS = [
     ("eq-right-atom", ["eq", RIGHT, "a"], 1),
     ("nf-dist-wide", ["nf", "--kind", "dist", WIDE], 3),
     ("eq-explain-s6", ["eq", "--explain", S6, S6], 0),
+    *_meet_rows("meet-left", LEFT_MEET, LEFT_MEET_REVERSED),
+    *_meet_rows("meet-right", RIGHT_MEET, RIGHT_MEET_REVERSED),
+    # no `le` row on the arrow meet: against its reverse the decider is
+    # quadratic in the arrows and runs past the timeout (ROADMAP item 7)
+    ("factors-arrow-meet", ["factors", ARROW_MEET], 0),
+    ("nf-dist-arrow-meet", ["nf", "--kind", "dist", ARROW_MEET], 0),
+    ("nf-slat-arrow-meet", ["nf", "--kind", "slat", ARROW_MEET], 0),
+    ("sat-depth-1-arrow-meet", ["sat", "--depth", "1", ARROW_MEET, ARROW_MEET], 0),
+    ("parse-json-arrow-meet", ["parse", "--json", ARROW_MEET], 0),
 ]
 
 
@@ -65,7 +97,9 @@ def _limit_address_space():
 
 
 def test_shapes_fit_one_argument():
-    assert max(len(text) for text in (LEFT, LEFT_OTHER, RIGHT, WIDE)) <= 131_071
+    shapes = (LEFT, LEFT_OTHER, RIGHT, WIDE, LEFT_MEET, LEFT_MEET_REVERSED, RIGHT_MEET,
+              RIGHT_MEET_REVERSED, ARROW_MEET)
+    assert max(len(text) for text in shapes) <= 131_071
 
 
 @pytest.mark.parametrize("argv, code", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])

@@ -3,7 +3,7 @@
 bcd.factors reads every factor off one loop over the asked expression's
 strictly positive spine.  The functions below are verbatim copies of the
 memoized recursion `factors` and of the `sorted_factors` that this replaced
-(they build Factors of the unchanged bcd.factors.Factor), kept so that the
+(they build Factors of the unchanged bcd.decide.Factor), kept so that the
 pins compare the walk with the code it must agree with: the same factor
 sets, the same display order from `sorted_groups`, which the CLI and
 `explain` read, and groups that hold each factor once, on seeded random
@@ -13,7 +13,7 @@ that a walk without a visited set would take exponential time over.
 
 import random
 
-from bcd.factors import Factor, factor_groups, factor_to_expr, factors, sorted_groups
+from bcd.decide import Factor, factor_groups, factor_to_expr, factors, sorted_groups
 from bcd.gen import random_expr
 from bcd.syntax import Arrow, Atom, Expr, Meet, parse, render
 

@@ -5,8 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from bcd.decide import DecisionCache
-from bcd.factors import Factor, factor_to_expr, factors
+from bcd.decide import DecisionCache, Factor, factor_to_expr, factors
 from bcd.gen import random_strictly_positive_step
 from bcd.rewrite import dist_normal_form, slat_canonical
 from bcd.syntax import (

@@ -1,13 +1,14 @@
 """The package namespace: which names `bcd` exports and what `import bcd` loads.
 
-`bcd/__init__` imports `bcd.syntax` and `bcd.factors` and resolves every
-other public name on first use, so these checks look at fresh processes,
-where no earlier test has loaded a submodule yet.
+`bcd/__init__` imports no submodule and resolves every public name on first
+use, so these checks look at fresh processes, where no earlier test has
+loaded a submodule yet.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ import pytest
 import bcd
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULE_NAMES = {p.stem for p in Path(SRC, "bcd").glob("*.py")} - {"__init__"}
 
 PUBLIC_NAMES = [
     "ARROW_SOURCE", "ARROW_TARGET", "ASSO", "ASSO_INV", "Arrow", "Atom", "COMM", "DIST",
@@ -64,28 +67,35 @@ class TestPublicNamespace:
         with pytest.raises(ImportError):
             exec("from bcd import StackOfTwos", {})
 
-    def test_bare_import_loads_syntax_and_factors_only(self):
+    def test_bare_import_loads_no_submodule(self):
         loaded = fresh(
             "import json, sys, bcd; "
             "print(json.dumps(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('bcd', 'dataclasses'))))"
         )
-        assert loaded == ["bcd", "bcd.factors", "bcd.syntax"]
+        assert loaded == ["bcd"]
+
+    def test_no_public_name_is_a_module_name(self):
+        # importing a submodule binds it on the package, so a module named
+        # like a public name would replace that name
+        assert MODULE_NAMES and not MODULE_NAMES & set(bcd._EXPORTS)
 
 
 class TestFactorsNameClash:
-    """`bcd.factors` is the function even after the submodule of that name loads."""
+    """`bcd.factors` is the function whatever loads first: no submodule has
+    its name."""
 
     @pytest.mark.parametrize(
         "first", ["import bcd.decide", "from bcd.model import build_model"]
     )
     def test_function_survives_a_later_submodule_import(self, first):
         kind = fresh(
-            f"import json, types; {first}; import bcd; "
+            f"import importlib.util, json, types; {first}; import bcd; "
             "print(json.dumps([callable(bcd.factors), "
-            "isinstance(bcd.factors, types.ModuleType), bcd.factors.__module__]))"
+            "isinstance(bcd.factors, types.ModuleType), bcd.factors.__module__, "
+            "importlib.util.find_spec('bcd.factors') is None]))"
         )
-        assert kind == [True, False, "bcd.factors"]
+        assert kind == [True, False, "bcd.decide", True]
 
 
 class TestModuleHomes:
@@ -103,6 +113,12 @@ class TestModuleHomes:
         assert bcd._EXPORTS["dept_normal_form"] == "syntax"
         assert bcd._EXPORTS["satisfies_eq"] == "decide"
         assert sorted(bcd._EXPORTS) == PUBLIC_NAMES
+
+    def test_readme_module_table_lists_every_module(self):
+        # "What is in the box" has one row per module under src/bcd
+        section = README.read_text().split("## What is in the box\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `bcd\.(\w+)` \|", section, re.M)
+        assert sorted(rows) == sorted(MODULE_NAMES)
 
     def test_bare_import_loads_no_json(self):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -193,8 +209,7 @@ class TestNodeCachesHaveOneWriter:
         assert writes == {home: [writer]}
 
     def test_factor_groups_and_the_cache_keep_nothing_of_their_own(self):
-        from bcd.decide import DecisionCache
-        from bcd.factors import factor_groups
+        from bcd.decide import DecisionCache, factor_groups
 
         assert DecisionCache.__slots__ == ("_sub",)
         e = bcd.parse("nc_a -> (nc_b & (nc_c -> nc_a))")

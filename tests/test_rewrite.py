@@ -6,8 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcd.decide import DecisionCache
-from bcd.factors import factor_groups
+from bcd.decide import DecisionCache, factor_groups
 from bcd.rewrite import (
     ASSO,
     ASSO_INV,

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given
 
 from bcd import syntax
-from bcd.decide import DecisionCache, equiv, explain, satisfies_eq
-from bcd.factors import factor_groups, sorted_groups
+from bcd.decide import DecisionCache, equiv, explain, factor_groups, satisfies_eq, sorted_groups
 from bcd.gen import random_expr
 from bcd.model import build_model
 from bcd.rewrite import (
