@@ -3,7 +3,8 @@
 The carrier of the depth-n model over a given atom set is enumerated level
 by level: level-0 primes are the atoms; level-k primes are the atoms plus all
 arrows between level-(k-1) carrier members; the carrier is every meet of a
-nonempty set of primes, up to congruence.
+nonempty set of primes, up to congruence.  Level k is the depth-k Model
+itself, and level k+1 is built from its masks, projections and arrows.
 
 Each level keys its classes by a bitmask over its units, the single-factor
 types that are the atoms and, at level k, every Arrow(c, u) with c a
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .decide import DecisionCache, LimitExceeded, _check_bytes
 from .syntax import (
@@ -108,14 +108,20 @@ def stack_of_twos(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class Model:
-    """Carrier of canonical representatives; meet and arrow tables on demand."""
+    """The depth-n model: its carrier of canonical representatives, in
+    least-subset order, and its meet and arrow tables on demand.
+
+    Bit b of a mask in _masks stands for _units[b], and _by_mask gives the
+    class of each mask.  _proj[i] is the class, in the model one depth down,
+    of class i's truncation; _arrows[p][q] is the class of the truncation, at
+    this depth, of an arrow between classes that project to p and q.  Every
+    arrow truncates to @ at depth 0, so there every class projects to 0 and
+    _arrows is ((class of @,),).  _atom_classes holds the class of each atom.
+    """
 
     atoms: tuple
     depth: int
     carrier: tuple
-    # Each class's unit mask, the class of each mask, and each class's
-    # projection; _arrows[p][q] is the class of an arrow between classes
-    # that project to p and q, and _atom_classes the class of each atom.
     _masks: tuple = field(repr=False, compare=False)
     _by_mask: dict = field(repr=False, compare=False)
     _proj: tuple = field(repr=False, compare=False)
@@ -191,32 +197,13 @@ def _unit_mask(cache: DecisionCache, e: Expr, units) -> int:
     return mask
 
 
-class _Level(NamedTuple):
-    """One level of the enumeration.
-
-    Bit b of a mask stands for units[b], and the classes come in least-subset
-    order.  proj[i] is the class, on the level below, of class i's
-    truncation; arrows[p][q] is the mask of the truncation, at this level's
-    depth, of an arrow between classes that project to p and q.  Every arrow
-    truncates to @ at depth 0, so at level 0 every class projects to 0 and
-    arrows is [[mask of @]].
-    """
-
-    units: tuple  # the unit types
-    pmask: list  # the unit mask of each prime
-    masks: list  # the unit mask of each class
-    carrier: list  # the canonical representative of each class
-    by_mask: dict  # the class of each mask
-    proj: list
-    arrows: list
-
-
-def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
-    """The level above prev (level 0 if prev is None) over the atom types.
+def _close_level(atoms: list, prev: Model | None = None) -> Model:
+    """The model one depth above prev (depth 0 if prev is None) over the
+    atom types.
 
     Prime k is atoms[k] or, past them, Arrow(prev.carrier[i],
     prev.carrier[j]) in row-major order; unit A + k * U + v, for A atoms and
-    U units below, is Arrow(prev.carrier[k], prev.units[v]).  The primes
+    U units below, is Arrow(prev.carrier[k], prev._units[v]).  The primes
     join the closure one at a time in index order, so each class's least
     prime subset is the one that first reaches it and the classes come in
     least-subset order.
@@ -225,9 +212,9 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
     if prev is None:
         primes, units, keys = list(atoms), tuple(atoms), pmask
     else:
-        below, width, base = prev.masks, len(prev.units), len(atoms)
+        below, width, base = prev._masks, len(prev._units), len(atoms)
         primes = atoms + [Arrow(x, y) for x in prev.carrier for y in prev.carrier]
-        units = (*atoms, *(Arrow(c, u) for c in prev.carrier for u in prev.units))
+        units = (*atoms, *(Arrow(c, u) for c in prev.carrier for u in prev._units))
         for mi in below:
             # a bit at the block of every class k below class i: the masks
             # of the classes there are at most width bits, so no carries
@@ -238,8 +225,8 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
             pmask.extend(mj * row for mj in below)
         # each prime's truncation, as a mask on the level below: an atom's
         # is its own bit, the same at every level
-        arrows, proj = prev.arrows, prev.proj
-        trunc = pmask[:base] + [arrows[pi][pj] for pi in proj for pj in proj]
+        arrows, proj = prev._arrows, prev._proj
+        trunc = pmask[:base] + [below[arrows[pi][pj]] for pi in proj for pj in proj]
         keys = [pm | t << len(units) for pm, t in zip(pmask, trunc)]
     # A class's least subset is stored with bit r for the prime of
     # rendering rank r, which leaves the classes and their order alone.
@@ -259,15 +246,19 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
             )
     del least[0]
     full = (1 << len(units)) - 1
-    masks = [key & full for key in least]
+    masks = tuple(key & full for key in least)
     by_mask = {m: i for i, m in enumerate(masks)}
+    atom_classes = {a: by_mask[1 << k] for k, a in enumerate(atoms)}
     if prev is None:
-        proj = [0] * len(masks)
-        arrows = [[pmask[atoms.index(Atom(TRUNCATION_ATOM))]]]
+        proj = (0,) * len(masks)
+        arrows = ((atom_classes[Atom(TRUNCATION_ATOM)],),)
     else:
-        proj = [prev.by_mask[key >> len(units)] for key in least]
+        proj = tuple(prev._by_mask[key >> len(units)] for key in least)
         size = len(prev.carrier)
-        arrows = [pmask[base + i * size : base + (i + 1) * size] for i in range(size)]
+        arrows = tuple(
+            tuple(by_mask[m] for m in pmask[base + i * size : base + (i + 1) * size])
+            for i in range(size)
+        )
     # The primes are distinct slat-canonical non-meets, so the left-nested
     # meet of a subset in rendering order is already its slat-canonical
     # form.  Without its last member, that subset is the least subset of an
@@ -279,12 +270,14 @@ def _close_level(atoms: list, prev: _Level | None = None) -> _Level:
         top = s.bit_length() - 1
         rest = s ^ (1 << top)
         rep[s] = Meet(rep[rest], primes[order[top]]) if rest else primes[order[top]]
-    carrier = list(rep.values())
-    return _Level(units, pmask, masks, carrier, by_mask, proj, arrows)
+    names, carrier = tuple(a.name for a in atoms), tuple(rep.values())
+    depth = 0 if prev is None else prev.depth + 1
+    return Model(names, depth, carrier, masks, by_mask, proj, arrows, atom_classes, units)
 
 
 def build_model(atoms, depth: int, *, max_depth: int | None = None) -> Model:
-    """Enumerate the depth-n carrier over the given atoms.
+    """The depth-n model over the given atoms: the last of the levels built
+    for depths 0 to n, each the Model of its depth.
 
     Each level derives its primes' unit masks from the level below and
     closes them under OR, prime by prime, which orders the classes by least
@@ -316,22 +309,10 @@ def build_model(atoms, depth: int, *, max_depth: int | None = None) -> Model:
         # before its check fires, since one prime at most doubles it.  An
         # entry is a key of one bit per unit on this level and the one below,
         # and a subset of one bit per prime.
-        size, below = (len(level.carrier), len(level.units)) if level else (0, 0)
+        size, below = (len(level.carrier), len(level._units)) if level else (0, 0)
         units, primes = len(names) + size * below, len(names) + size**2
         need = 2 * (CARRIER_CAP + 1) * (units + below + primes) // 8
         _check_bytes(need, f"closure over {primes} primes and {units} units could hold")
         atom_exprs = atom_exprs or [Atom(a) for a in names]
         level = _close_level(atom_exprs, level)
-
-    by_mask = level.by_mask
-    return Model(
-        names,
-        depth,
-        tuple(level.carrier),
-        tuple(level.masks),
-        by_mask,
-        tuple(level.proj),
-        tuple(tuple(by_mask[m] for m in row) for row in level.arrows),
-        {a: by_mask[1 << k] for k, a in enumerate(atom_exprs)},
-        level.units,
-    )
+    return level

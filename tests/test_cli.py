@@ -247,6 +247,13 @@ class TestModelVerb:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    def test_largest_carrier_json_golden(self, capsys):
+        # {@,p,q} at depth 1, the largest carrier that builds (54,871
+        # classes; its tables are refused): order and representatives
+        assert run(["model", "--atoms", "@,p,q", "--depth", "1", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "e4170dcd6f057c1d"
+
     @pytest.mark.parametrize(
         "args, digest",
         [

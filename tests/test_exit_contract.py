@@ -6,8 +6,11 @@ stderr holds no traceback.  The shapes are as large as one command-line
 argument allows (131,071 bytes): a left-nested chain, a right-nested chain,
 an arrow into a 20,000-member meet, a meet of 15,798 atoms nested to the
 left and to the right, and a meet of 8,812 arrows, plus the explanation
-family s_k at k = 6.  A row whose refusal (exit 3) becomes an answer changes
-its expected exit code here.
+family s_k at k = 6.  `model` rows build the largest carrier that fits and
+ask past each of its caps, `bench --stdin` rows read the chains from stdin,
+and `selftest` runs the embedded checks; every verb starts at least one row.
+A refusal (exit 3) writes nothing to stdout.  A row whose refusal becomes an
+answer changes its expected exit code here.
 """
 
 import os
@@ -18,9 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from bcd.cli import _DISPATCH
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ADDRESS_SPACE = 2 << 30  # bytes
-TIMEOUT = 30  # seconds; every row takes under a second on a desk machine
+TIMEOUT = 30  # seconds; selftest takes about 2 s on a desk machine, every other row under 1 s
 
 
 def _left_chain(levels: int, inner: str) -> str:
@@ -89,6 +94,15 @@ ROWS = [
     ("nf-slat-arrow-meet", ["nf", "--kind", "slat", ARROW_MEET], 0),
     ("sat-depth-1-arrow-meet", ["sat", "--depth", "1", ARROW_MEET, ARROW_MEET], 0),
     ("parse-json-arrow-meet", ["parse", "--json", ARROW_MEET], 0),
+    ("model-at_p-d2", ["model", "--atoms", "@,p", "--depth", "2"], 3),
+    ("model-huge-depth", ["model", "--atoms", "@", "--depth", "1000000000"], 3),
+    ("model-8_atoms-d1", ["model", "--atoms", "@,a,b,c,d,e,f,g", "--depth", "1"], 3),
+    ("model-at_p_q-d1-tables", ["model", "--atoms", "@,p,q", "--depth", "1", "--tables"], 3),
+    ("model-at_p_q-d1-json", ["model", "--atoms", "@,p,q", "--depth", "1", "--json"], 0),
+    ("model-12_atoms-d0", ["model", "--atoms", "@," + ",".join("abcdefghijk"), "--depth", "0"], 0),
+    ("bench-stdin-left", ["bench", "--stdin"], 3, LEFT),
+    ("bench-stdin-right", ["bench", "--stdin"], 3, RIGHT),
+    ("selftest", ["selftest"], 0),
 ]
 
 
@@ -102,10 +116,19 @@ def test_shapes_fit_one_argument():
     assert max(len(text) for text in shapes) <= 131_071
 
 
-@pytest.mark.parametrize("argv, code", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
-def test_exit_code(argv, code):
+def test_every_verb_has_a_row():
+    assert set(_DISPATCH) <= {row[1][0] for row in ROWS}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdin",
+    [(row[1], row[2], row[3] if len(row) > 3 else None) for row in ROWS],
+    ids=[row[0] for row in ROWS],
+)
+def test_exit_code(argv, code, stdin):
     proc = subprocess.run(
         [sys.executable, "-m", "bcd.cli", *argv],
+        input=None if stdin is None else stdin.encode(),
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         preexec_fn=_limit_address_space,
@@ -115,3 +138,4 @@ def test_exit_code(argv, code):
     assert proc.returncode == code, proc.stderr[-2000:]
     if code == 3:
         assert proc.stderr.startswith(b"limit exceeded: ")
+        assert proc.stdout == b""

@@ -274,13 +274,21 @@ def _reference_least_subset(mask: int, pmask: list) -> int:
     return subset
 
 
+def _prime_masks(level):
+    """Each prime's unit mask, read off the prime's class: the atoms', then
+    above depth 0 the arrows' in row-major order."""
+    arrows = [c for row in level._arrows for c in row] if level.depth else []
+    return [level._masks[c] for c in (*level._atom_classes.values(), *arrows)]
+
+
 class TestCloseLevel:
     def test_three_atom_level_one_in_least_subset_order(self):
         # the level-1 primes over {@,p,q}: 3 atoms and 49 arrows
         atoms = [Atom(a) for a in ("@", "p", "q")]
         level0 = build_model(["@", "p", "q"], 0).carrier
         primes = atoms + [Arrow(x, y) for x in level0 for y in level0]
-        _, pmask, masks, carrier = _close_level(atoms, _close_level(atoms))[:4]
+        level = _close_level(atoms, _close_level(atoms))
+        pmask, masks, carrier = _prime_masks(level), level._masks, level.carrier
         assert len(masks) == len(carrier) == 54_871
         assert len(masks) <= stack_of_twos(2, 4)
         subsets = [_reference_least_subset(m, pmask) for m in masks]
@@ -302,6 +310,45 @@ _SIX = pytest.mark.parametrize(
     ],
     ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0"],
 )
+
+
+class TestLevels:
+    @pytest.mark.parametrize(
+        "atoms, depth",
+        [
+            (("@",), 0),
+            (("@",), 1),
+            (("@", "p"), 0),
+            (("@", "p"), 1),
+            (("@",), 2),
+            (("@", "p", "q"), 0),
+            (("@", "p", "q"), 1),
+        ],
+        ids=["at-d0", "at-d1", "at_p-d0", "at_p-d1", "at-d2", "at_p_q-d0", "at_p_q-d1"],
+    )
+    def test_each_level_is_the_model_one_depth_down(self, monkeypatch, atoms, depth):
+        # every level built on the way to depth n against build_model at the
+        # level's own depth
+        levels = []
+
+        def close_level(atoms, prev=None):
+            levels.append(_close_level(atoms, prev))
+            return levels[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr("bcd.model._close_level", close_level)
+            top = build_model(atoms, depth)
+        assert len(levels) == depth + 1 and levels[-1] is top
+        universe = all_exprs(atoms, 5)
+        for k, level in enumerate(levels):
+            m = build_model(atoms, k)
+            assert (level.atoms, level.depth) == (m.atoms, k)
+            assert len(level.carrier) == len(m.carrier)
+            assert all(x is y for x, y in zip(level.carrier, m.carrier))
+            assert level._masks == m._masks
+            assert level._proj == m._proj
+            assert level._arrows == m._arrows
+            assert [level.eval(e) for e in universe] == [m.eval(e) for e in universe]
 
 
 class TestNoDecisionInTheBuild:
@@ -342,16 +389,16 @@ class TestNoDecisionInTheBuild:
             if below is not None:
                 primes += [Arrow(x, y) for x in below.carrier for y in below.carrier]
             level = _close_level(atom_exprs, below)
-            assert len(level.pmask) == len(primes)
-            for p, pm in zip(primes, level.pmask):
-                assert pm == _unit_mask(cache, p, level.units)
+            assert len(_prime_masks(level)) == len(primes)
+            for p, pm in zip(primes, _prime_masks(level)):
+                assert pm == _unit_mask(cache, p, level._units)
             if len(atoms) == 3:
                 continue
-            for c, m, pi in zip(level.carrier, level.masks, level.proj):
-                assert m == _unit_mask(cache, c, level.units)
+            for c, m, pi in zip(level.carrier, level._masks, level._proj):
+                assert m == _unit_mask(cache, c, level._units)
                 if below is not None:
                     t = dept_normal_form(c, n - 1)
-                    assert pi == below.by_mask[_unit_mask(cache, t, below.units)]
+                    assert pi == below._by_mask[_unit_mask(cache, t, below._units)]
 
     def test_lookups_build_no_table(self):
         m = build_model(["@", "p"], 1)
