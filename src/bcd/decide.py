@@ -210,13 +210,18 @@ class DecisionCache:
 
     def _matches(self, ga: dict, gb: dict) -> bool:
         """Every factor of gb finds one in ga of its head and arity whose
-        arguments each lie above the gb factor's argument at that place."""
+        arguments each lie above the gb factor's argument at that place.
+        A factor that ga holds itself matches by reflexivity, before any
+        candidate is tried, so a meet against a reordering of itself decides
+        no pair of distinct arguments."""
         subseteq = self.subseteq
         for ha, blists in gb.items():
             alist = ga.get(ha)
             if alist is None:
                 return False
             for bargs in blists:
+                if bargs in alist:
+                    continue
                 for aargs in alist:
                     for x, y in zip(bargs, aargs):
                         if not subseteq(x, y):

@@ -25,8 +25,11 @@ live node up inline, so a hit costs no further Python frame.  A miss fills
 the new node's slots through their member descriptors, past the immutable
 __setattr__, and enters it through the one publish routine, _publish.
 
-parse, render, the JSON AST conversions, the nodes' repr, atoms_of and the
-depth truncation dept_normal_form each run one loop over an explicit stack;
+parse takes its tokens from one str.split, once one regex search has found
+no character outside the grammar, and reads them in one for-loop over an
+explicit stack of the open parenthesis groups.  render, the JSON AST
+conversions, the nodes' repr, atoms_of and the depth truncation
+dept_normal_form each run one loop over an explicit stack too;
 one preorder walk, _preorder, gives each position with its node and the
 arrows on its path, entering arrow sources or not, to subexpressions,
 strictly_positive_atom_positions and bcd.rewrite's redexes; pickling,
@@ -62,6 +65,7 @@ import math
 import re
 import weakref
 from enum import Enum
+from operator import length_hint
 from typing import Union
 
 from _weakref import _remove_dead_weakref  # what WeakValueDictionary uses
@@ -121,16 +125,6 @@ def _publish(key: tuple, node: "Expr") -> "Expr":
         if winner is not None:
             return winner
         _remove_dead_weakref(_table, key)
-
-
-def _miss(key: tuple, x: "Expr", y: "Expr") -> "Expr":
-    """The node of an arrow or meet key that has no live entry."""
-    cls = key[0]
-    node = _new(cls)
-    set_x, set_y = _SETTERS[cls]
-    set_x(node, x)
-    set_y(node, y)
-    return _publish(key, node)
 
 
 class _Node:
@@ -194,8 +188,12 @@ class Arrow(_Node):
     def __new__(cls, source: "Expr", target: "Expr"):
         key = (cls, source, target)
         ref = _get(key)
-        node = None if ref is None else ref()
-        return _miss(key, source, target) if node is None else node
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set_source(node, source)
+            _set_target(node, target)
+            node = _publish(key, node)
+        return node
 
 
 class Meet(_Node):
@@ -204,13 +202,18 @@ class Meet(_Node):
     def __new__(cls, left: "Expr", right: "Expr"):
         key = (cls, left, right)
         ref = _get(key)
-        node = None if ref is None else ref()
-        return _miss(key, left, right) if node is None else node
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            node = _publish(key, node)
+        return node
 
 
 # The slots' member descriptors set a field past _Node.__setattr__.
 _set_name = Atom.name.__set__
-_SETTERS = {cls: tuple(getattr(cls, f).__set__ for f in cls.__slots__) for cls in (Arrow, Meet)}
+_set_source, _set_target = Arrow.source.__set__, Arrow.target.__set__
+_set_left, _set_right = Meet.left.__set__, Meet.right.__set__
 
 Expr = Union[Atom, Arrow, Meet]
 
@@ -264,12 +267,14 @@ class Polarity(Enum):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN = re.compile(r"->|[&()@]|[a-z][a-zA-Z0-9_]*")
+_TOKEN = re.compile(r"->|[&()@]|[a-z][a-zA-Z0-9_]*")  # for error offsets only
 _ATOM_NAME = re.compile(r"@|[a-z][a-zA-Z0-9_]*")  # a name that parse reads back
 # The first character that no token starts or continues: a word character
 # that does not follow one and is no lowercase letter starts no atom, and a
 # '-' or '>' that is not half of "->" starts or continues no arrow.  Each
 # branch starts by matching its character, which lets re skip ahead fast.
+# It admits no whitespace but " \t\r\n", so str.split, which splits at any
+# Unicode whitespace, splits parse's text only where the grammar does.
 _LEXICAL_ERROR = re.compile(r"[^ \t\r\n&()@\w>-]|[A-Z0-9_](?<!\w\w)|-(?!>)|>(?<!->)", re.ASCII)
 
 
@@ -284,11 +289,17 @@ def _offset(text: str, k: int) -> int:
 def parse(text: str) -> Expr:
     """Parse the ascii grammar; raises ParseError with offset and expected set.
 
-    One loop over the tokens, with an explicit stack of the open parenthesis
-    groups, so the nesting depth costs no Python frames.  A group holds the
-    arrow sources read so far and the meet being read.  Each meet and arrow
-    is looked up in the intern table here, as its constructor would, and the
-    call's atoms are kept by token, so a live subterm costs no Python call.
+    Once _LEXICAL_ERROR has found no character that starts no token, the
+    tokens are the words of the text with "(", ")", "->", "&" and "@"
+    spaced out, by one str.split, and "" ends them.  One for-loop reads
+    them, with an explicit stack of the open parenthesis groups, so the
+    nesting depth costs no Python frames.  Its state is meet, the meet
+    being read, which is None where a primary is wanted; a group holds the
+    arrow sources read so far and left, the meet before the last "&".  Each
+    meet and arrow is looked up in the intern table here, as its
+    constructor would, and the call's atoms are kept by token, so a live
+    subterm costs no Python call.  An error takes the failing token's index
+    from what the iterator has left, and its offset from _offset.
     """
     bad = _LEXICAL_ERROR.search(text)
     if bad is not None:
@@ -296,53 +307,63 @@ def parse(text: str) -> Expr:
         if text[i] == "-":
             raise ParseError("stray '-'", i, ("'->'",))
         raise ParseError(f"unexpected character {text[i]!r}", i, ("atom", "'('", "'->'", "'&'"))
-    toks = _TOKEN.findall(text)
+    toks = (
+        text.replace("(", " ( ").replace(")", " ) ").replace("->", " -> ")
+        .replace("&", " & ").replace("@", " @ ").split()
+    )
     toks.append("")  # end of input
+    it = iter(toks)
     atoms = {}  # token -> Atom, for this call only
-    groups = []  # the enclosing groups' (sources, meet)
-    sources, meet = [], None
-    k = 0
-    while True:
-        tok = toks[k]
-        k += 1
-        x = atoms.get(tok)
-        if x is None:
-            if tok == "(":
-                groups.append((sources, meet))
-                sources, meet = [], None
-                continue
-            if tok in ("", "->", "&", ")"):
-                raise ParseError("expected an expression", _offset(text, k - 1), ("atom", "'('"))
-            x = atoms[tok] = Atom(tok)
-        while True:  # x is a complete primary; close the groups it completes
-            if meet is None:
-                meet = x
-            else:
-                key = (Meet, meet, x)
-                ref = _get(key)
-                node = None if ref is None else ref()
-                meet = _miss(key, meet, x) if node is None else node
-            tok = toks[k]
-            if tok == "&" or tok == "->":
-                k += 1
-                if tok == "->":
-                    sources.append(meet)
-                    meet = None
-                break
+    groups = []  # the enclosing groups' (sources, left)
+    sources, left, meet = [], None, None
+    for tok in it:
+        if meet is None:  # a primary is wanted
+            x = atoms.get(tok)
+            if x is None:
+                if tok == "(":
+                    groups.append((sources, left))
+                    sources, left = [], None
+                    continue
+                if tok in ("->", "&", ")", ""):
+                    k = len(toks) - length_hint(it) - 1
+                    raise ParseError("expected an expression", _offset(text, k), ("atom", "'('"))
+                x = atoms[tok] = Atom(tok)
+        elif tok == "->":
+            sources.append(meet)
+            left = meet = None
+            continue
+        elif tok == "&":
+            left, meet = meet, None
+            continue
+        elif tok == ")" if groups else not tok:  # the meet closes a group or the input
             x = meet
             for s in reversed(sources):
                 key = (Arrow, s, x)
                 ref = _get(key)
-                node = None if ref is None else ref()
-                x = _miss(key, s, x) if node is None else node
+                if ref is None or (node := ref()) is None:
+                    node = _new(Arrow)
+                    _set_source(node, s)
+                    _set_target(node, x)
+                    node = _publish(key, node)
+                x = node
             if not groups:
-                if tok:
-                    raise ParseError("trailing input", _offset(text, k), ("end of input",))
                 return x
-            if tok != ")":
+            sources, left = groups.pop()
+        else:
+            k = len(toks) - length_hint(it) - 1
+            if groups:
                 raise ParseError("unclosed parenthesis", _offset(text, k), ("')'",))
-            k += 1
-            sources, meet = groups.pop()
+            raise ParseError("trailing input", _offset(text, k), ("end of input",))
+        if left is None:  # x is a complete primary
+            meet = x
+        else:
+            key = (Meet, left, x)
+            ref = _get(key)
+            if ref is None or (meet := ref()) is None:
+                meet = _new(Meet)
+                _set_left(meet, left)
+                _set_right(meet, x)
+                meet = _publish(key, meet)
 
 
 # ---------------------------------------------------------------------------

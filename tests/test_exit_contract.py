@@ -5,10 +5,12 @@ address space to 2 GB, under a timeout, and asserts the exit code and that
 stderr holds no traceback.  The shapes are as large as one command-line
 argument allows (131,071 bytes): a left-nested chain, a right-nested chain,
 an arrow into a 20,000-member meet, a meet of 15,798 atoms nested to the
-left and to the right, and a meet of 8,812 arrows, plus the explanation
-family s_k at k = 6.  `model` rows build the largest carrier that fits and
-ask past each of its caps, `bench --stdin` rows read the chains from stdin,
-and `selftest` runs the embedded checks; every verb starts at least one row.
+left and to the right, a meet of 8,812 arrows, and one atom of 131,000
+letters, alone and followed by a character no token starts, plus the
+explanation family s_k at k = 6.  `model` rows build the largest carrier
+that fits and ask past each of its caps, `bench --stdin` rows read the
+chains from stdin, and `selftest` runs the embedded checks; every verb
+starts at least one row.
 A refusal (exit 3) writes nothing to stdout.  A row whose refusal becomes an
 answer changes its expected exit code here.
 """
@@ -51,7 +53,10 @@ LEFT_MEET = " & ".join(SPINE_ATOMS)
 LEFT_MEET_REVERSED = " & ".join(reversed(SPINE_ATOMS))
 RIGHT_MEET = "&(".join(SPINE_ATOMS) + ")" * (len(SPINE_ATOMS) - 1)
 RIGHT_MEET_REVERSED = "&(".join(reversed(SPINE_ATOMS)) + ")" * (len(SPINE_ATOMS) - 1)
-ARROW_MEET = " & ".join(f"(x{i} -> a)" for i in range(8_812))
+ARROW_MEETS = [f"(x{i} -> a)" for i in range(8_812)]
+ARROW_MEET = " & ".join(ARROW_MEETS)
+ARROW_MEET_REVERSED = " & ".join(reversed(ARROW_MEETS))
+LONG_ATOM = "a" * 131_000
 
 
 def _meet_rows(name: str, meet: str, reversed_meet: str) -> list:
@@ -87,13 +92,14 @@ ROWS = [
     ("eq-explain-s6", ["eq", "--explain", S6, S6], 0),
     *_meet_rows("meet-left", LEFT_MEET, LEFT_MEET_REVERSED),
     *_meet_rows("meet-right", RIGHT_MEET, RIGHT_MEET_REVERSED),
-    # no `le` row on the arrow meet: against its reverse the decider is
-    # quadratic in the arrows and runs past the timeout (ROADMAP item 7)
+    ("le-arrow-meet", ["le", ARROW_MEET, ARROW_MEET_REVERSED], 0),
     ("factors-arrow-meet", ["factors", ARROW_MEET], 0),
     ("nf-dist-arrow-meet", ["nf", "--kind", "dist", ARROW_MEET], 0),
     ("nf-slat-arrow-meet", ["nf", "--kind", "slat", ARROW_MEET], 0),
     ("sat-depth-1-arrow-meet", ["sat", "--depth", "1", ARROW_MEET, ARROW_MEET], 0),
     ("parse-json-arrow-meet", ["parse", "--json", ARROW_MEET], 0),
+    ("parse-long-atom", ["parse", LONG_ATOM], 0),
+    ("parse-long-atom-dollar", ["parse", LONG_ATOM + "$"], 2),
     ("model-at_p-d2", ["model", "--atoms", "@,p", "--depth", "2"], 3),
     ("model-huge-depth", ["model", "--atoms", "@", "--depth", "1000000000"], 3),
     ("model-8_atoms-d1", ["model", "--atoms", "@,a,b,c,d,e,f,g", "--depth", "1"], 3),
@@ -112,7 +118,7 @@ def _limit_address_space():
 
 def test_shapes_fit_one_argument():
     shapes = (LEFT, LEFT_OTHER, RIGHT, WIDE, LEFT_MEET, LEFT_MEET_REVERSED, RIGHT_MEET,
-              RIGHT_MEET_REVERSED, ARROW_MEET)
+              RIGHT_MEET_REVERSED, ARROW_MEET, ARROW_MEET_REVERSED, LONG_ATOM + "$")
     assert max(len(text) for text in shapes) <= 131_071
 
 

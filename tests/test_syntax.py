@@ -291,6 +291,16 @@ class TestAgainstReference:
             assert kinds[message] > 100
         assert _outcome(parse, "") == _outcome(_reference_parse, "")
 
+    def test_unicode_whitespace_is_no_separator(self):
+        # str.split() would split at these; the grammar's whitespace is " \t\r\n" only.
+        spaces = [chr(i) for i in range(sys.maxunicode + 1)
+                  if chr(i).isspace() and chr(i) not in " \t\r\n"]
+        assert {"\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"} <= set(spaces)
+        for c in spaces:
+            want = _outcome(_reference_parse, "a" + c + "b")
+            assert isinstance(want, tuple), repr(c)
+            assert _outcome(parse, "a" + c + "b") == want, repr(c)
+
     @given(big_expr_strategy())
     def test_render_matches_the_recursive_renderer(self, e):
         assert render(e) == _reference_render(e)
