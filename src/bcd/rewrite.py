@@ -23,9 +23,11 @@ bcd.syntax's dept_normal_form.
 The conversion search holds each top-level state as the tuple of its meet
 members (distinct slat-canonical non-meets, sorted by rendering), so it never
 builds or re-flattens a top-level meet spine; meets nested inside arrows stay
-expressions.  Its successor memo depends on the witness pool and lives for
-one call.  Its pruned-form memo, keyed by node or by member tuple, depends on
-the key alone, so a caller may pass one dict to many searches.
+expressions.  It renders and sorts a state's successors only while some of
+them can still be expanded; the rest are queued unsorted, since no order
+changes the verdict.  Its successor memo depends on the witness pool and
+lives for one call.  Its pruned-form memo, keyed by node or by member tuple,
+depends on the key alone, so a caller may pass one dict to many searches.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
@@ -471,8 +473,10 @@ def _absorbed(arrows: list) -> list:
     """The arrows made redundant by absorption: those whose source spine
     strictly contains the source spine of another arrow with the same
     target.  Only arrows that share a target compare their spines, and only
-    a meet source can strictly contain a spine; a non-meet source s is
-    contained as a member."""
+    a meet source can strictly contain a spine.  The sources are
+    slat-canonical, so a meet source's spine has at least two distinct
+    members, and a non-meet source s is strictly contained exactly when it
+    is a member."""
     out = []
     for v in arrows:
         if v.source.__class__ is not Meet:
@@ -483,7 +487,7 @@ def _absorbed(arrows: list) -> list:
                 if spine is None:
                     spine = _memberset(v.source)
                 s = u.source
-                if (_memberset(s) < spine) if s.__class__ is Meet else (s in spine and len(spine) > 1):
+                if (_memberset(s) < spine) if s.__class__ is Meet else s in spine:
                     out.append(v)
                     break
     return out
@@ -653,8 +657,11 @@ def convertible_bounded(
     instantiated only from the witness pool (by default the subexpressions
     of a and b).  Each side is expanded at most `budget` times, in order of
     the states' renderings, and every successor is followed by its pruned
-    form.  CONFIRMED is returned exactly when the explored sets intersect,
-    which implies a and b are congruent; UNKNOWN implies nothing.  Moves are
+    form.  Successors that can no longer be expanded, because the queue
+    already holds as many states as the side has expansions left, are
+    queued unsorted: they are only checked against the other side.
+    CONFIRMED is returned exactly when the explored sets intersect, which
+    implies a and b are congruent; UNKNOWN implies nothing.  Moves are
     memoized per subexpression for the duration of the call.  Pruned forms
     are memoized in memo, per node and per member tuple; a caller may share
     it across calls, since a pruned form depends on its key alone.
@@ -705,7 +712,12 @@ def convertible_bounded(
                 for nb in _member_successors(state, witnesses, moves)
                 if nb not in seen or pruned(nb) not in seen
             ]
-            for nb in sorted(fresh, key=_state_key):
+            # Once the queue holds as many states as this side has
+            # expansions left, nothing queued now is ever expanded, and the
+            # order of the successors can no longer matter.
+            if len(queue) < budget - spent[idx]:
+                fresh.sort(key=_state_key)
+            for nb in fresh:
                 for candidate in (nb, pruned(nb)):
                     if candidate in other:
                         return Verdict.CONFIRMED

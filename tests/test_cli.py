@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bcd import rewrite, selftest
 from bcd.cli import run
 from bcd.decide import MATRIX_CAP_BYTES
 from bcd.selftest import DESK_SCALE, FULL_SCALE
@@ -320,6 +322,37 @@ class TestSelftest:
         # a value that no caller changes is a literal in the criterion
         for name, fn in FULL_SCALE:
             assert set(inspect.signature(fn).parameters) == set(DESK_SCALE.get(name, {})), name
+
+    def test_a_criterion_that_raises_fails_and_the_rest_still_run(self, capsys, monkeypatch):
+        # criterion 03 raises, as it did under three of the seeded mutants
+        def raises(**kwargs):
+            raise KeyError("missing")
+
+        criteria = [(name, raises if name.startswith("03") else fn) for name, fn in FULL_SCALE]
+        monkeypatch.setattr(selftest, "FULL_SCALE", criteria)
+        assert run(["selftest"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == len(FULL_SCALE)
+        fail = r"FAIL 03 finite model property \(\d+\.\d\d s\): KeyError: 'missing'"
+        assert re.fullmatch(fail, lines[2])
+        assert lines[3].startswith("PASS 04 carrier counts (")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_desk_criterion_02_kills_a_merge_that_keeps_one_target(self, monkeypatch):
+        # an unsound prune: of the arrows that share a source, keep the first
+        def first_of_each_source(arrows, memo):
+            kept = {}
+            for v in arrows:
+                kept.setdefault(v.source, v)
+            return list(kept.values())
+
+        name = "02 oracle agreement"
+        criterion, kwargs = dict(FULL_SCALE)[name], DESK_SCALE[name]
+        monkeypatch.setattr(rewrite, "_merge_cluster", first_of_each_source)
+        assert criterion(**{**kwargs, "same_source": 0})[0]
+        ok, detail = criterion(**kwargs)
+        assert not ok and " 0 disagreements" not in detail
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -792,6 +792,53 @@ class TestSearchMatchesReference:
         assert expanded > 1_000
 
 
+class TestUnsortedTail:
+    """A side expands at most budget states, so successors that can no
+    longer be expanded are neither rendered nor sorted."""
+
+    @staticmethod
+    def _sample():
+        rng = random.Random(203)
+        universe = all_exprs(("@", "p"), 6)
+        return rng.sample([(a, b) for i, a in enumerate(universe) for b in universe[i:]], 60)
+
+    def test_budget_one_never_renders_a_state(self, monkeypatch):
+        def unreachable(state):
+            raise AssertionError("a successor was sorted")
+
+        monkeypatch.setattr(rewrite, "_state_key", unreachable)
+        for a, b in self._sample():
+            verdict = _reference_search(a, b, budget=1, log=[])
+            assert convertible_bounded(a, b, budget=1) is verdict, (render(a), render(b))
+
+    def test_renders_only_while_the_queue_is_shorter_than_the_budget_left(self, monkeypatch):
+        budget = 15
+        slack = []  # per expansion: the budget left minus the queue's length
+
+        class Queue(deque):
+            pops = 0
+
+            def popleft(self):
+                state = super().popleft()
+                self.pops += 1
+                slack.append(budget - self.pops - len(self))
+                return state
+
+        keyed = []
+
+        def key(state):
+            keyed.append(slack[-1])
+            return _state_key(state)
+
+        monkeypatch.setattr(rewrite, "deque", Queue)
+        monkeypatch.setattr(rewrite, "_state_key", key)
+        for a, b in self._sample():
+            verdict = _reference_search(a, b, budget=budget, log=[])
+            assert convertible_bounded(a, b, budget=budget) is verdict, (render(a), render(b))
+        assert keyed and min(keyed) > 0
+        assert sum(s <= 0 for s in slack) > len(slack) // 2
+
+
 def _reference_slat(e: Expr) -> Expr:
     """slat_canonical without its node cache: each meet spine flattened,
     deduplicated, sorted by rendering and left-nested, inside arrows too."""
