@@ -20,14 +20,17 @@ appears only in the bounded conversion search, with witnesses drawn from a
 finite pool.  The dept normal form, a plain depth truncation, is
 bcd.syntax's dept_normal_form.
 
-The conversion search holds each top-level state as the tuple of its meet
-members (distinct slat-canonical non-meets, sorted by rendering), so it never
-builds or re-flattens a top-level meet spine; meets nested inside arrows stay
-expressions.  It renders and sorts a state's successors only while some of
-them can still be expanded; the rest are queued unsorted, since no order
-changes the verdict.  Its successor memo depends on the witness pool and
-lives for one call.  Its pruned-form memo, keyed by node or by member tuple,
-depends on the key alone, so a caller may pass one dict to many searches.
+The conversion search holds each top-level state as the set of its meet
+members (distinct slat-canonical non-meets), so it never builds or
+re-flattens a top-level meet spine; meets nested inside arrows stay
+expressions.  Members are put in rendering order only where order is read:
+in a state the search ranks, and so may expand, and in a meet node it
+builds.  It ranks a state's successors only while some of them can still be
+expanded; the rest are only checked against the other side and marked seen,
+since no order changes the verdict.  Its successor memo depends on the
+witness pool and lives for one call.  Its pruned-form memo, keyed by node or
+by member set, depends on the key alone, so a caller may pass one dict to
+many searches; it holds one object per distinct pruned member set.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
@@ -454,8 +457,9 @@ class Verdict(Enum):
 
 def _merge_cluster(arrows: list, memo: dict) -> list:
     """Merge the pruned arrows that share a source into one arrow to the
-    meet of their targets (reverse dist); a merged arrow is pruned again,
-    since its combined target may expose further merges."""
+    meet of their targets (reverse dist).  The combined target is pruned
+    again, since it may expose further merges; the merged arrow, from a
+    pruned source to a pruned target, is then its own pruned form."""
     by_source = {}
     for v in arrows:
         by_source.setdefault(v.source, []).append(v)
@@ -465,7 +469,7 @@ def _merge_cluster(arrows: list, memo: dict) -> list:
             out.append(group[0])
         else:
             target = _prune(_sorted_meet([t for g in group for t in _members(g.target)]), memo)
-            out.append(_prune(Arrow(src, target), memo))
+            out.append(Arrow(src, target))
     return out
 
 
@@ -493,9 +497,9 @@ def _absorbed(arrows: list) -> list:
     return out
 
 
-def _prune_members(members, memo: dict) -> tuple:
-    """prune's meet step: the member tuple of the pruned meet of the given
-    distinct slat-canonical non-meets.
+def _prune_members(members, memo: dict) -> list:
+    """prune's meet step: the members of the pruned meet of the given
+    distinct slat-canonical non-meets, distinct and in no order.
 
     One pass: each member's pruned form comes from memo, same-source arrows
     are merged, and the absorbed arrows are dropped.  Pruned sources are
@@ -523,9 +527,7 @@ def _prune_members(members, memo: dict) -> tuple:
         if dropped:
             arrows = [v for v in arrows if v not in dropped]
     out += arrows
-    if len(out) == 1:
-        return (out[0],)
-    return _sorted_members(out)
+    return out
 
 
 def prune(e: Expr, memo: dict | None = None) -> Expr:
@@ -553,33 +555,36 @@ def _prune(c: Expr, memo: dict) -> Expr:
         elif c.__class__ is Arrow:
             result = Arrow(_prune(c.source, memo), _prune(c.target, memo))
         else:
-            result = _meet_node(_prune_members(_members(c), memo))
+            members = _prune_members(_members(c), memo)
+            result = members[0] if len(members) == 1 else _sorted_meet(members)
         memo[c] = result
     return result
 
 
 def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     """Sound one-move successors of the meet of a member tuple, as member
-    tuples.
+    sets.
 
-    The members are distinct slat-canonical non-meets sorted by rendering,
-    and so is every result.  The meet-level moves merge two same-source
+    The members are distinct slat-canonical non-meets sorted by rendering;
+    every result is a frozenset of distinct slat-canonical non-meets, built
+    by set algebra with no sort.  The meet-level moves merge two same-source
     arrow members, drop an absorbed one, or replace one member by the
     members of one of its own moves.
     """
     out = set()
+    base = frozenset(members)
     arrows = [m for m in members if m.__class__ is Arrow]
     for u, v in combinations(arrows, 2):
         if u.source is v.source:
             merged = Arrow(u.source, _sorted_meet(_members(u.target) + _members(v.target)))
-            out.add(_sorted_members([m for m in members if m is not u and m is not v] + [merged]))
+            out.add(base.difference((u, v)).union((merged,)))
     if len(arrows) > 1:
         for v in _absorbed(arrows):
-            out.add(tuple(m for m in members if m is not v))
-    for i, m in enumerate(members):
-        rest = members[:i] + members[i + 1:]
+            out.add(base - {v})
+    for m in members:
+        rest = base - {m}
         for n in _successors(m, witnesses, memo):
-            out.add(_sorted_members(rest + _members(n)))
+            out.add(rest.union(_members(n)))
     return out
 
 
@@ -616,7 +621,7 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
         out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
         out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
     elif x.__class__ is Meet:
-        out = {_meet_node(t) for t in _member_successors(_members(x), witnesses, memo)}
+        out = {_sorted_meet(s) for s in _member_successors(_members(x), witnesses, memo)}
     out = memo[x] = frozenset(out)
     return out
 
@@ -652,18 +657,20 @@ def convertible_bounded(
 ) -> Verdict:
     """Bidirectional breadth-first search for a conversion between a and b.
 
-    States are slat-canonical, each held as the tuple of its top-level meet
-    members; moves are dist and absp in both directions, with absp
-    instantiated only from the witness pool (by default the subexpressions
-    of a and b).  Each side is expanded at most `budget` times, in order of
-    the states' renderings, and every successor is followed by its pruned
-    form.  Successors that can no longer be expanded, because the queue
-    already holds as many states as the side has expansions left, are
-    queued unsorted: they are only checked against the other side.
+    States are slat-canonical, each held as the set of its top-level meet
+    members, and queued as the tuple of those members sorted by rendering;
+    moves are dist and absp in both directions, with absp instantiated only
+    from the witness pool (by default the subexpressions of a and b).  Each
+    side is expanded at most `budget` times, in order of the states'
+    renderings, and every successor is followed by its pruned form.
+    Successors that can no longer be expanded, because the queue already
+    holds as many states as the side has expansions left, are neither
+    sorted nor queued: they are only checked against the other side, and
+    marked seen so that the other side checks against them.
     CONFIRMED is returned exactly when the explored sets intersect, which
     implies a and b are congruent; UNKNOWN implies nothing.  Moves are
     memoized per subexpression for the duration of the call.  Pruned forms
-    are memoized in memo, per node and per member tuple; a caller may share
+    are memoized in memo, per node and per member set; a caller may share
     it across calls, since a pruned form depends on its key alone.
     """
     if witnesses is None:
@@ -673,22 +680,26 @@ def convertible_bounded(
     if memo is None:
         memo = {}
 
-    def pruned(state: tuple) -> tuple:
+    def pruned(state: frozenset) -> frozenset:
         p = memo.get(state)
         if p is None:
-            p = memo[state] = _prune_members(state, memo)
+            # a pruned form is its own pruned form, so it keys itself, and
+            # the memo holds one object per distinct pruned form
+            p = frozenset(_prune_members(state, memo))
+            p = memo[state] = memo.setdefault(p, p)
         return p
 
     moves = {}
     sides = []
     for root in (a, b):
         canon = _members(slat_canonical(root))
-        seen = {canon}
+        start = frozenset(canon)
+        seen = {start}
         queue = deque([canon])
-        p = pruned(canon)
+        p = pruned(start)
         if p not in seen:
             seen.add(p)
-            queue.append(p)
+            queue.append(_sorted_members(p))
         sides.append((seen, queue))
 
     (seen_a, queue_a), (seen_b, queue_b) = sides
@@ -713,15 +724,22 @@ def convertible_bounded(
                 if nb not in seen or pruned(nb) not in seen
             ]
             # Once the queue holds as many states as this side has
-            # expansions left, nothing queued now is ever expanded, and the
-            # order of the successors can no longer matter.
-            if len(queue) < budget - spent[idx]:
-                fresh.sort(key=_state_key)
-            for nb in fresh:
+            # expansions left, nothing queued now is ever expanded: the
+            # successors are only checked against the other side and seen.
+            if len(queue) >= budget - spent[idx]:
+                for nb in fresh:
+                    for candidate in (nb, pruned(nb)):
+                        if candidate in other:
+                            return Verdict.CONFIRMED
+                        seen.add(candidate)
+                continue
+            ranked = {_sorted_members(nb): nb for nb in fresh}
+            for members in sorted(ranked, key=_state_key):
+                nb = ranked[members]
                 for candidate in (nb, pruned(nb)):
                     if candidate in other:
                         return Verdict.CONFIRMED
                     if candidate not in seen:
                         seen.add(candidate)
-                        queue.append(candidate)
+                        queue.append(members if candidate is nb else _sorted_members(candidate))
     return Verdict.UNKNOWN

@@ -32,7 +32,7 @@ from bcd.rewrite import (
     redexes,
     slat_canonical,
 )
-from bcd import rewrite, syntax
+from bcd import rewrite, selftest, syntax
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -641,7 +641,7 @@ class TestSuccessors:
         assert len(visited) > 500
         for members, witnesses in visited:
             x = meet_of(members)
-            got = sorted((meet_of(t) for t in inner(members, list(witnesses), {})), key=render)
+            got = sorted((meet_of(sorted(t, key=render)) for t in inner(members, list(witnesses), {})), key=render)
             assert got == _reference_neighbors(x, list(witnesses)), render(x)
 
 
@@ -837,6 +837,80 @@ class TestUnsortedTail:
             assert convertible_bounded(a, b, budget=budget) is verdict, (render(a), render(b))
         assert keyed and min(keyed) > 0
         assert sum(s <= 0 for s in slack) > len(slack) // 2
+
+
+class TestSetOrder:
+    """Sets of nodes iterate in allocation order, so no verdict and no
+    expanded state may depend on the order in which a set is walked."""
+
+    def test_reversed_successors_and_members_change_nothing(self, monkeypatch):
+        sample = TestUnsortedTail._sample()
+        expected = []
+        for a, b in sample:
+            log = []
+            expected.append((_reference_search(a, b, budget=15, log=log), log))
+        successors, prune_members = rewrite._member_successors, rewrite._prune_members
+        calls = [0, 0]
+
+        def reversed_successors(members, witnesses, memo):
+            calls[0] += 1
+            out = successors(members, witnesses, memo)
+            return sorted(out, key=lambda s: _state_key(tuple(sorted(s, key=render))), reverse=True)
+
+        def reversed_members(members, memo):
+            calls[1] += 1
+            return prune_members(list(members)[::-1], memo)
+
+        monkeypatch.setattr(rewrite, "_member_successors", reversed_successors)
+        monkeypatch.setattr(rewrite, "_prune_members", reversed_members)
+        for (a, b), want in zip(sample, expected):
+            assert _logged_search(monkeypatch, a, b, budget=15) == want, (render(a), render(b))
+        assert min(calls) > 1_000
+
+
+def _desk_criterion_02_memo(monkeypatch) -> dict:
+    """The pruned-form memo shared by the searches of desk criterion 02."""
+    memos = []
+    inner = selftest.convertible_bounded
+
+    def recording(a, b, budget=1000, witnesses=None, memo=None):
+        memos.append(memo)
+        return inner(a, b, budget=budget, witnesses=witnesses, memo=memo)
+
+    monkeypatch.setattr(selftest, "convertible_bounded", recording)
+    ok, detail = selftest.criterion_oracle_agreement(**selftest.DESK_SCALE["02 oracle agreement"])
+    assert ok, detail
+    assert memos and all(m is memos[0] for m in memos)
+    return memos[0]
+
+
+class TestPrunedForms:
+    """A pruned form is its own pruned form; the search's memo relies on it
+    to key each pruned member set by itself and so hold one object per
+    distinct pruned form."""
+
+    def test_prune_is_idempotent(self):
+        rng = random.Random(303)
+        for exprs in (all_exprs(("@", "p"), 6), _random_states(rng, 1000)):
+            memo = {}
+            for e in exprs:
+                p = prune(e, memo)
+                assert prune(p, memo) is p, render(e)
+
+    def test_every_pruned_state_of_desk_criterion_02_is_its_own_form(self, monkeypatch):
+        memo = _desk_criterion_02_memo(monkeypatch)
+        states = {v for v in memo.values() if isinstance(v, frozenset)}
+        assert len(states) > 40  # 55 at desk scale
+        for p in states:
+            assert frozenset(rewrite._prune_members(p, memo)) == p, sorted(map(render, p))
+
+    def test_desk_criterion_02_memo_holds_one_object_per_pruned_form(self, monkeypatch):
+        memo = _desk_criterion_02_memo(monkeypatch)
+        values = list(memo.values())
+        assert len({id(v) for v in values}) == len(set(values))
+        # many state keys share a pruned form, so the sharing matters
+        keys = sum(isinstance(k, frozenset) for k in memo)
+        assert keys > 2 * sum(isinstance(v, frozenset) for v in set(values))
 
 
 def _reference_slat(e: Expr) -> Expr:
