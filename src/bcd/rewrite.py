@@ -20,9 +20,11 @@ appears only in the bounded conversion search, with witnesses drawn from a
 finite pool.  The dept normal form, a plain depth truncation, is
 bcd.syntax's dept_normal_form.
 
-The conversion search holds each top-level state as the set of its meet
-members (distinct slat-canonical non-meets), so it never builds or
-re-flattens a top-level meet spine; meets nested inside arrows stay
+The conversion search holds each top-level state, and each one-move
+successor of a subterm, as the set of its meet members (distinct
+slat-canonical non-meets), so it never builds or re-flattens a meet spine at
+the top of a state or of a move; it builds a meet node only where a move is
+lifted into an arrow's source or target, and meets nested inside arrows stay
 expressions.  Members are put in rendering order only where order is read:
 in a state the search ranks, and so may expand, and in a meet node it
 builds.  It ranks a state's successors only while some of them can still be
@@ -569,7 +571,7 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     every result is a frozenset of distinct slat-canonical non-meets, built
     by set algebra with no sort.  The meet-level moves merge two same-source
     arrow members, drop an absorbed one, or replace one member by the
-    members of one of its own moves.
+    member set of one of its own moves.
     """
     out = set()
     base = frozenset(members)
@@ -584,23 +586,27 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     for m in members:
         rest = base - {m}
         for n in _successors(m, witnesses, memo):
-            out.add(rest.union(_members(n)))
+            out.add(rest | n)
     return out
 
 
 def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     """Sound one-move successors of a slat-canonical expression, by structure,
-    with absp witnesses drawn from a slat-canonical pool.
+    with absp witnesses drawn from a slat-canonical pool, each as the member
+    set of its slat-canonical form: a frozenset of distinct slat-canonical
+    non-meets, whose meet in rendering order is the successor.
 
     Moves are dist and absp applied in both directions anywhere inside x,
     phrased on meet spines so that the asso/comm/idem orbit never has to be
     searched.  An arrow appends an absorption component from a witness and
     splits one member out of a meet target (with or without retaining the
-    original); a maximal meet takes the moves of _member_successors.  A move
-    inside a child is lifted through its parent.  Every result, and every
-    arrow or meet built on the way, is built from slat-canonical parts in
-    canonical order, and so is slat-canonical.  Results are memoized per
-    subexpression in memo, so states sharing a subterm share its moves.
+    original); a maximal meet takes the moves of _member_successors as they
+    are.  A move inside a child is lifted through its parent, and only there
+    is a member set built into a meet node, as the arrow's new source or
+    target.  Every arrow or meet built on the way is built from
+    slat-canonical parts in canonical order, and so is slat-canonical.
+    Results are memoized per subexpression in memo, so states sharing a
+    subterm share its moves.
     """
     out = memo.get(x)
     if out is not None:
@@ -610,18 +616,20 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
         src, tgt = x.source, x.target
         sources = _members(src)
         for w in witnesses:
-            out.add(_sorted_meet((x, Arrow(_sorted_meet(sources + _members(w)), tgt))))
+            out.add(frozenset((x, Arrow(_sorted_meet(sources + _members(w)), tgt))))
         if tgt.__class__ is Meet:
             members = _members(tgt)
             for i, y in enumerate(members):
                 split = Arrow(src, y)
                 rest = _meet_node(members[:i] + members[i + 1:])
-                out.add(_sorted_meet((split, Arrow(src, rest))))
-                out.add(_sorted_meet((split, x)))
-        out.update(Arrow(n, tgt) for n in _successors(src, witnesses, memo))
-        out.update(Arrow(src, n) for n in _successors(tgt, witnesses, memo))
+                out.add(frozenset((split, Arrow(src, rest))))
+                out.add(frozenset((split, x)))
+        for n in _successors(src, witnesses, memo):
+            out.add(frozenset((Arrow(_sorted_meet(n), tgt),)))
+        for n in _successors(tgt, witnesses, memo):
+            out.add(frozenset((Arrow(src, _sorted_meet(n)),)))
     elif x.__class__ is Meet:
-        out = {_sorted_meet(s) for s in _member_successors(_members(x), witnesses, memo)}
+        out = _member_successors(_members(x), witnesses, memo)
     out = memo[x] = frozenset(out)
     return out
 
@@ -663,6 +671,8 @@ def convertible_bounded(
     from the witness pool (by default the subexpressions of a and b).  Each
     side is expanded at most `budget` times, in order of the states'
     renderings, and every successor is followed by its pruned form.
+    Successors are computed as member sets, down to the subterms, so a move
+    builds a meet node only as the source or target of an arrow.
     Successors that can no longer be expanded, because the queue already
     holds as many states as the side has expansions left, are neither
     sorted nor queued: they are only checked against the other side, and

@@ -34,6 +34,7 @@ from .rewrite import (
     convertible_bounded,
     count_restricted,
     dept,
+    prune,
     redexes,
     slat_canonical,
 )
@@ -162,7 +163,10 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
     """Bounded conversion search against the decision procedure on the
     exhaustive two-atom universe, and on seeded pairs that hold two arrows
     with one source.  All searches share one pruned-form memo, which is
-    sound because a pruned form depends on its key alone."""
+    sound because a pruned form depends on its key alone.  A prune that
+    leaves a merge undone is still sound, so no verdict shows it: every
+    expression of the pairs, and of 200 seeded pairs with one source, must
+    also have a pruned form that is its own pruned form."""
     universe = all_exprs(("@", "p"), max_nodes)
     pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i:]]
     pairs += _same_source_pairs(random.Random(102), same_source)
@@ -180,10 +184,16 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
             if convertible_bounded(a, b, budget=budget_false, memo=pruned) is Verdict.CONFIRMED:
                 disagreements.append(("confirmed but not equiv", a, b))
     elapsed = time.perf_counter() - t0
-    ok = not disagreements and elapsed < 300.0
+    # the search's memo keys each pruned form by itself
+    exprs = {e for pair in pairs + _same_source_pairs(random.Random(102), 200) for e in pair}
+    memo = {}
+    forms = {prune(e, memo) for e in exprs}
+    unpruned = sum(prune(p, memo) is not p for p in forms)
+    ok = not disagreements and not unpruned and elapsed < 300.0
     detail = (
         f"{len(universe)} expressions, {len(pairs)} pairs ({same_source} with one source"
-        f" twice; {true_pairs} congruent), {len(disagreements)} disagreements, {elapsed:.1f}s"
+        f" twice; {true_pairs} congruent), {len(disagreements)} disagreements, {elapsed:.1f}s;"
+        f" {len(forms)} pruned forms, {unpruned} not their own pruned form"
     )
     return ok, detail
 

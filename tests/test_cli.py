@@ -354,6 +354,23 @@ class TestSelftest:
         ok, detail = criterion(**kwargs)
         assert not ok and " 0 disagreements" not in detail
 
+    def test_desk_criterion_02_kills_a_merge_that_leaves_its_target_unpruned(self, monkeypatch):
+        # a sound prune that is not idempotent: merge the arrows that share a
+        # source, but leave the meet of their targets as it is
+        def unpruned_target(arrows, memo):
+            targets = {}
+            for v in arrows:
+                targets.setdefault(v.source, []).extend(rewrite._members(v.target))
+            return [rewrite.Arrow(src, rewrite._sorted_meet(ts)) for src, ts in targets.items()]
+
+        name = "02 oracle agreement"
+        criterion, kwargs = dict(FULL_SCALE)[name], DESK_SCALE[name]
+        assert criterion(**kwargs)[0]
+        monkeypatch.setattr(rewrite, "_merge_cluster", unpruned_target)
+        ok, detail = criterion(**kwargs)
+        assert not ok and " 0 disagreements" in detail, detail
+        assert re.search(r" [1-9]\d* not their own pruned form$", detail), detail
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HASH_SEED_ARGVS = [
