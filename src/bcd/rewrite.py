@@ -30,9 +30,14 @@ in a state the search ranks, and so may expand, and in a meet node it
 builds.  It ranks a state's successors only while some of them can still be
 expanded; the rest are only checked against the other side and marked seen,
 since no order changes the verdict.  Its successor memo depends on the
-witness pool and lives for one call.  Its pruned-form memo, keyed by node or
-by member set, depends on the key alone, so a caller may pass one dict to
-many searches; it holds one object per distinct pruned member set.
+witness pool and lives for one call.  Its pruned-form memo maps a node to
+its pruned form, and a member set to the member set of its pruned form.  A
+meet is keyed by the set of its members' pruned forms, which is all that
+merging and absorption read, so they run once per such set.  A pruned
+member set keys itself, so the memo holds one object per distinct pruned
+form, and it carries the form's meet node once prune has built it, so each
+pruned meet node is built once; the search reads the sets alone.  An entry
+depends on its key alone, so a caller may pass one dict to many searches.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
@@ -460,8 +465,9 @@ class Verdict(Enum):
 def _merge_cluster(arrows: list, memo: dict) -> list:
     """Merge the pruned arrows that share a source into one arrow to the
     meet of their targets (reverse dist).  The combined target is pruned
-    again, since it may expose further merges; the merged arrow, from a
-    pruned source to a pruned target, is then its own pruned form."""
+    again, straight from its targets' members, since it may expose further
+    merges; the merged arrow, from a pruned source to a pruned target, is
+    then its own pruned form."""
     by_source = {}
     for v in arrows:
         by_source.setdefault(v.source, []).append(v)
@@ -470,7 +476,7 @@ def _merge_cluster(arrows: list, memo: dict) -> list:
         if len(group) == 1:
             out.append(group[0])
         else:
-            target = _prune(_sorted_meet([t for g in group for t in _members(g.target)]), memo)
+            target = _pruned_meet([t for g in group for t in _members(g.target)], memo)
             out.append(Arrow(src, target))
     return out
 
@@ -500,28 +506,26 @@ def _absorbed(arrows: list) -> list:
 
 
 def _prune_members(members, memo: dict) -> list:
-    """prune's meet step: the members of the pruned meet of the given
-    distinct slat-canonical non-meets, distinct and in no order.
+    """prune's merge and absorption step: the members of the pruned meet of
+    the given distinct pruned non-meets, distinct and in no order.
 
-    One pass: each member's pruned form comes from memo, same-source arrows
-    are merged, and the absorbed arrows are dropped.  Pruned sources are
-    fixed points of prune, so the merged arrows keep distinct sources, and
-    dropping creates no new absorption.
+    One pass: same-source arrows are merged, and the absorbed arrows are
+    dropped.  Pruned sources are fixed points of prune, so the merged arrows
+    keep distinct sources, and dropping creates no new absorption.  The
+    result depends on the set of members alone, not on the order of the
+    walk.
     """
     out, arrows, sources = [], [], set()
     merge = False
     for m in members:
-        p = memo.get(m)
-        if p is None:
-            p = _prune(m, memo)
-        if p.__class__ is Arrow:
-            if p.source in sources:
+        if m.__class__ is Arrow:
+            if m.source in sources:
                 merge = True
             else:
-                sources.add(p.source)
-            arrows.append(p)
+                sources.add(m.source)
+            arrows.append(m)
         else:
-            out.append(p)
+            out.append(m)
     if merge:
         arrows = _merge_cluster(arrows, memo)
     if len(arrows) > 1:
@@ -532,13 +536,53 @@ def _prune_members(members, memo: dict) -> list:
     return out
 
 
+class _PrunedForm(frozenset):
+    """The member set of a pruned form, with the form itself as node once
+    _pruned_meet has built it (at once for a single member)."""
+
+    __slots__ = ("node",)
+
+
+def _pruned_form(members, memo: dict) -> _PrunedForm:
+    """The pruned form of the meet of the given slat-canonical non-meets,
+    as its member set.
+
+    Each member's pruned form comes from memo, and the set of those forms is
+    looked up in memo in turn: _prune_members reads that set alone, so it
+    runs once per distinct set however many member sets prune to it.  A
+    pruned form is its own pruned form, so it keys itself, and the memo
+    holds one object per distinct pruned form.
+    """
+    key = frozenset([memo.get(m) or _prune(m, memo) for m in members])
+    p = memo.get(key)
+    if p is None:
+        out = _prune_members(key, memo)
+        p = memo.get(frozenset(out))
+        if p is None:
+            p = _PrunedForm(out)
+            p.node = out[0] if len(out) == 1 else None
+            memo[p] = p
+        memo[key] = p
+    return p
+
+
+def _pruned_meet(members, memo: dict) -> Expr:
+    """prune's meet step: _pruned_form as a node, built once per pruned
+    form; the search reads the member set alone and never builds it."""
+    p = _pruned_form(members, memo)
+    if p.node is None:
+        p.node = _sorted_meet(p)
+    return p.node
+
+
 def prune(e: Expr, memo: dict | None = None) -> Expr:
     """Normalize by reverse-dist merging and absorption removal, bottom up.
 
     Every step is a sound conversion move, so the result, a slat-canonical
     form, stays inside e's congruence class; used to collapse search states
-    quickly.  Results are memoized per subexpression in memo, which callers
-    may share across calls.
+    quickly.  Results are memoized in memo, which callers may share across
+    calls: per subexpression, and per set of a meet's members' pruned forms,
+    so merging and absorption run once per such set.
     """
     if memo is None:
         memo = {}
@@ -557,8 +601,7 @@ def _prune(c: Expr, memo: dict) -> Expr:
         elif c.__class__ is Arrow:
             result = Arrow(_prune(c.source, memo), _prune(c.target, memo))
         else:
-            members = _prune_members(_members(c), memo)
-            result = members[0] if len(members) == 1 else _sorted_meet(members)
+            result = _pruned_meet(_members(c), memo)
         memo[c] = result
     return result
 
@@ -680,8 +723,10 @@ def convertible_bounded(
     CONFIRMED is returned exactly when the explored sets intersect, which
     implies a and b are congruent; UNKNOWN implies nothing.  Moves are
     memoized per subexpression for the duration of the call.  Pruned forms
-    are memoized in memo, per node and per member set; a caller may share
-    it across calls, since a pruned form depends on its key alone.
+    are memoized in memo, per node and per member set, and a meet's merging
+    and absorption run once per set of its members' pruned forms; a caller
+    may share memo across calls, since a pruned form depends on its key
+    alone.
     """
     if witnesses is None:
         witnesses = default_witnesses(a, b)
@@ -693,10 +738,7 @@ def convertible_bounded(
     def pruned(state: frozenset) -> frozenset:
         p = memo.get(state)
         if p is None:
-            # a pruned form is its own pruned form, so it keys itself, and
-            # the memo holds one object per distinct pruned form
-            p = frozenset(_prune_members(state, memo))
-            p = memo[state] = memo.setdefault(p, p)
+            p = memo[state] = _pruned_form(state, memo)
         return p
 
     moves = {}

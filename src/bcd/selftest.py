@@ -166,7 +166,8 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
     sound because a pruned form depends on its key alone.  A prune that
     leaves a merge undone is still sound, so no verdict shows it: every
     expression of the pairs, and of 200 seeded pairs with one source, must
-    also have a pruned form that is its own pruned form."""
+    also have a pruned form that is its own pruned form when it is pruned
+    again in a memo that has not seen it."""
     universe = all_exprs(("@", "p"), max_nodes)
     pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i:]]
     pairs += _same_source_pairs(random.Random(102), same_source)
@@ -184,11 +185,12 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
             if convertible_bounded(a, b, budget=budget_false, memo=pruned) is Verdict.CONFIRMED:
                 disagreements.append(("confirmed but not equiv", a, b))
     elapsed = time.perf_counter() - t0
-    # the search's memo keys each pruned form by itself
+    # a memo that holds a pruned form answers the form's own member set from
+    # that entry, so each form is pruned again in a memo that has not seen it
     exprs = {e for pair in pairs + _same_source_pairs(random.Random(102), 200) for e in pair}
     memo = {}
     forms = {prune(e, memo) for e in exprs}
-    unpruned = sum(prune(p, memo) is not p for p in forms)
+    unpruned = sum(prune(p, {}) is not p for p in forms)
     ok = not disagreements and not unpruned and elapsed < 300.0
     detail = (
         f"{len(universe)} expressions, {len(pairs)} pairs ({same_source} with one source"

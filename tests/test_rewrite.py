@@ -885,6 +885,7 @@ class TestSetOrder:
             return sorted(out, key=lambda s: _state_key(tuple(sorted(s, key=render))), reverse=True)
 
         def reversed_members(members, memo):
+            # the merge and absorption step, run on a set of pruned members
             calls[1] += 1
             return prune_members(list(members)[::-1], memo)
 
@@ -895,7 +896,7 @@ class TestSetOrder:
         assert min(calls) > 1_000
 
 
-def _desk_criterion_02_memo(monkeypatch) -> dict:
+def _desk_criterion_02_memo(monkeypatch, passes: bool = True) -> dict:
     """The pruned-form memo shared by the searches of desk criterion 02."""
     memos = []
     inner = selftest.convertible_bounded
@@ -904,32 +905,77 @@ def _desk_criterion_02_memo(monkeypatch) -> dict:
         memos.append(memo)
         return inner(a, b, budget=budget, witnesses=witnesses, memo=memo)
 
-    monkeypatch.setattr(selftest, "convertible_bounded", recording)
-    ok, detail = selftest.criterion_oracle_agreement(**selftest.DESK_SCALE["02 oracle agreement"])
-    assert ok, detail
+    with monkeypatch.context() as m:
+        m.setattr(selftest, "convertible_bounded", recording)
+        ok, detail = selftest.criterion_oracle_agreement(**selftest.DESK_SCALE["02 oracle agreement"])
+    assert ok or not passes, detail
     assert memos and all(m is memos[0] for m in memos)
     return memos[0]
 
 
+def _pruned_form_states() -> list:
+    """The {@,p} expressions of at most 6 nodes, and 1,000 seeded random
+    states (seed 303)."""
+    return [all_exprs(("@", "p"), 6), _random_states(random.Random(303), 1000)]
+
+
+def _not_idempotent(exprs: list) -> list:
+    """The expressions whose pruned form, from a memo that they share,
+    prunes to another form in a memo that has not seen it."""
+    memo = {}
+    return [e for e in exprs if prune(p := prune(e, memo), {}) is not p]
+
+
+def _pruned_set(members: frozenset, memo: dict) -> frozenset:
+    """The member set of the pruned form, from memo, of the meet of a
+    member set, built here in rendering order."""
+    return frozenset(meet_members(prune(meet_of(sorted(members, key=render)), memo)))
+
+
+def _pruned_states(memo: dict) -> set:
+    """The pruned member sets that memo holds."""
+    return {v for v in memo.values() if isinstance(v, frozenset)}
+
+
+def _not_own_form(memo: dict) -> list:
+    """The pruned member sets held in memo whose meet prunes to another form
+    in a memo that has not seen it."""
+    return [p for p in _pruned_states(memo) if _pruned_set(p, {}) != p]
+
+
 class TestPrunedForms:
-    """A pruned form is its own pruned form; the search's memo relies on it
-    to key each pruned member set by itself and so hold one object per
-    distinct pruned form."""
+    """A pruned form is its own pruned form.  The memo relies on it: a
+    pruned member set keys itself, and since a meet is keyed by its
+    members' pruned forms, that entry answers the form's own member set
+    too.  So a memo that holds a form cannot show
+    that pruning it again would change it, and each check prunes again in
+    a memo that has not seen the form."""
 
     def test_prune_is_idempotent(self):
-        rng = random.Random(303)
-        for exprs in (all_exprs(("@", "p"), 6), _random_states(rng, 1000)):
-            memo = {}
-            for e in exprs:
-                p = prune(e, memo)
-                assert prune(p, memo) is p, render(e)
+        for exprs in _pruned_form_states():
+            assert not _not_idempotent(exprs), [render(e) for e in _not_idempotent(exprs)[:5]]
 
     def test_every_pruned_state_of_desk_criterion_02_is_its_own_form(self, monkeypatch):
         memo = _desk_criterion_02_memo(monkeypatch)
-        states = {v for v in memo.values() if isinstance(v, frozenset)}
-        assert len(states) > 40  # 55 at desk scale
-        for p in states:
-            assert frozenset(rewrite._prune_members(p, memo)) == p, sorted(map(render, p))
+        assert len(_pruned_states(memo)) > 150  # 197 at desk scale
+        assert not _not_own_form(memo), [sorted(map(render, p)) for p in _not_own_form(memo)[:5]]
+
+    def test_both_checks_catch_an_absorption_that_drops_one_arrow_per_pass(self, monkeypatch):
+        # sound but not idempotent: of the absorbed arrows, drop the first
+        # only, so a second prune drops another; in the memo that pruned
+        # them, the unfinished forms look finished
+        assert not _not_idempotent(_pruned_form_states()[0])
+        absorbed = rewrite._absorbed
+        monkeypatch.setattr(rewrite, "_absorbed", lambda arrows: absorbed(arrows)[:1])
+        unfinished = 0
+        for exprs in _pruned_form_states():
+            memo = {}
+            assert all(prune(p := prune(e, memo), memo) is p for e in exprs)
+            unfinished += len(_not_idempotent(exprs))
+        assert unfinished
+        memo = _desk_criterion_02_memo(monkeypatch, passes=False)
+        assert all(_pruned_set(p, memo) == p for p in _pruned_states(memo))
+        assert _not_own_form(memo)
 
     def test_desk_criterion_02_memo_holds_one_object_per_pruned_form(self, monkeypatch):
         memo = _desk_criterion_02_memo(monkeypatch)
@@ -938,6 +984,38 @@ class TestPrunedForms:
         # many state keys share a pruned form, so the sharing matters
         keys = sum(isinstance(k, frozenset) for k in memo)
         assert keys > 2 * sum(isinstance(v, frozenset) for v in set(values))
+
+
+class TestPrunedMemberKey:
+    """_pruned_form keys a meet by the set of its members' pruned forms,
+    which is exact: merging and absorption read that set alone."""
+
+    def test_a_meet_prunes_as_its_members_pruned_forms(self):
+        checked = 0
+        for states in _pruned_form_states():
+            for e in states:
+                members = set(meet_members(slat_canonical(e)))
+                pruned_members = {prune(m, {}) for m in members}
+                want = _reference_prune(e)
+                assert prune(meet_of(sorted(members, key=render)), {}) is want, render(e)
+                assert prune(meet_of(sorted(pruned_members, key=render)), {}) is want, render(e)
+                checked += 1
+        assert checked == 1_074
+
+    def test_desk_criterion_02_absorption_count(self, monkeypatch):
+        # the merge and absorption step runs once per distinct set of pruned
+        # members, not once per meet: 1,271 calls of _absorbed over desk
+        # criterion 02 (2,593 when every meet ran the step)
+        calls = [0]
+        absorbed = rewrite._absorbed
+
+        def counting(arrows):
+            calls[0] += 1
+            return absorbed(arrows)
+
+        monkeypatch.setattr(rewrite, "_absorbed", counting)
+        _desk_criterion_02_memo(monkeypatch)
+        assert 0 < calls[0] <= 1_300, calls[0]
 
 
 def _reference_slat(e: Expr) -> Expr:
