@@ -13,10 +13,10 @@ _EXPORTS = {
     for module, names in (
         ("syntax", "ARROW_SOURCE ARROW_TARGET INFINITE_DEPTH MEET_LEFT MEET_RIGHT "
                    "TRUNCATION_ATOM Arrow Atom Expr InvalidPosition Meet ParseError "
-                   "Polarity arrow_depth atoms_of dept_normal_form ebb node_at node_count "
-                   "parse polarity render replace_at subexpressions"),
-        ("decide", "DecisionCache Factor LimitExceeded SubtypeMatrix equiv explain "
-                   "factor_to_expr factors satisfies_eq subseteq subtype_matrix"),
+                   "arrow_depth atoms_of dept_normal_form node_count parse render "
+                   "subexpressions"),
+        ("decide", "DecisionCache Factor LimitExceeded SubtypeMatrix equiv explain factors "
+                   "satisfies_eq subseteq subtype_matrix"),
         ("model", "Model UnknownAtom build_model stack_of_twos"),
         ("rewrite", "ASSO ASSO_INV COMM DIST IDEM MissingParameter NotARedex Rule Trace "
                     "TraceStep Verdict absp apply convertible_bounded dept "

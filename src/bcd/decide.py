@@ -135,17 +135,10 @@ def factors(e: Expr) -> frozenset:
     )
 
 
-def factor_to_expr(f: Factor) -> Expr:
-    """Rebuild the right-nested arrow expression; factors of the result is {f}."""
-    e: Expr = Atom(f.head)
-    for arg in reversed(f.args):
-        e = Arrow(arg, e)
-    return e
-
-
 def factor_text(args: tuple, head: str) -> str:
-    """render(factor_to_expr(Factor(args, head))), composed from the
-    arguments' renderings without building the factor expression."""
+    """The rendering of the factor args(1) -> (... (args(t) -> head) ...),
+    composed from the arguments' renderings without building the factor
+    expression."""
     texts = [f"({render(a)})" if a.__class__ is Arrow else render(a) for a in args]
     texts.append(head)
     return " -> ".join(texts)

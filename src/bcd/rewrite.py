@@ -44,12 +44,12 @@ module state, so the module is safe for unsynchronized concurrent use.  The
 caches kept on nodes are functions of the node alone, and none refers back
 to its node: slat_canonical's (True on a node that is its own form, the form
 itself on any other) and the rendering's, and, for the search and prune
-only, a meet's spine member tuple and member set (a non-meet's spine is
-itself alone, and is never stored).  So every node that a parse, a normal
-form, prune or the search builds is freed by reference counting once the
-last reference to it goes, with no collection pass.  slat_canonical is the
-only writer of its cache: the search and prune build their arrows and meets
-from slat-canonical parts in canonical order, and so never ask for a form.
+only, a meet's spine member tuple (a non-meet's spine is itself alone, and
+is never stored).  So every node that a parse, a normal form, prune or the
+search builds is freed by reference counting once the last reference to it
+goes, with no collection pass.  slat_canonical is the only writer of its
+cache: the search and prune build their arrows and meets from slat-canonical
+parts in canonical order, and so never ask for a form.
 """
 
 from __future__ import annotations
@@ -136,15 +136,6 @@ def _members(e: Expr) -> tuple:
     members = e.__dict__.get("_members")
     if members is None:
         members = e.__dict__["_members"] = tuple(meet_members(e))
-    return members
-
-
-def _memberset(e: Expr) -> frozenset:
-    """The members of the meet e's spine as a set, cached on e, for the
-    absorption test."""
-    members = e.__dict__.get("_memberset")
-    if members is None:
-        members = e.__dict__["_memberset"] = frozenset(_members(e))
     return members
 
 
@@ -485,10 +476,10 @@ def _absorbed(arrows: list) -> list:
     """The arrows made redundant by absorption: those whose source spine
     strictly contains the source spine of another arrow with the same
     target.  Only arrows that share a target compare their spines, and only
-    a meet source can strictly contain a spine.  The sources are
-    slat-canonical, so a meet source's spine has at least two distinct
-    members, and a non-meet source s is strictly contained exactly when it
-    is a member."""
+    a meet source can strictly contain a spine; its spine is built as a set
+    once per call.  The sources are slat-canonical, so two arrows with one
+    target have distinct spines, and one contains the other strictly
+    exactly when it holds every member of the other."""
     out = []
     for v in arrows:
         if v.source.__class__ is not Meet:
@@ -497,9 +488,8 @@ def _absorbed(arrows: list) -> list:
         for u in arrows:
             if u.target is v.target and u is not v:
                 if spine is None:
-                    spine = _memberset(v.source)
-                s = u.source
-                if (_memberset(s) < spine) if s.__class__ is Meet else s in spine:
+                    spine = frozenset(_members(v.source))
+                if spine.issuperset(_members(u.source)):
                     out.append(v)
                     break
     return out

@@ -159,6 +159,18 @@ def _same_source_pairs(rng: random.Random, count: int) -> list:
     return pairs
 
 
+def _two_absorbed(rng: random.Random, count: int) -> list:
+    """count expressions (s -> t) & ((s & c) -> t) & ((s & d) -> t) over the
+    {@,p} expressions with at most 3 nodes: s -> t absorbs both other arrows
+    when c and d add members to s, so one pass of prune must drop two."""
+    parts = all_exprs(("@", "p"), 3)
+    out = []
+    for _ in range(count):
+        s, t, c, d = rng.sample(parts, 4)
+        out.append(Meet(Meet(Arrow(s, t), Arrow(Meet(s, c), t)), Arrow(Meet(s, d), t)))
+    return out
+
+
 def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_source: int = 40):
     """Bounded conversion search against the decision procedure on the
     exhaustive two-atom universe, and on seeded pairs that hold two arrows
@@ -167,7 +179,8 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
     leaves a merge undone is still sound, so no verdict shows it: every
     expression of the pairs, and of 200 seeded pairs with one source, must
     also have a pruned form that is its own pruned form when it is pruned
-    again in a memo that has not seen it."""
+    again in a memo that has not seen it, and so must 20 seeded expressions
+    that hold two absorbed arrows."""
     universe = all_exprs(("@", "p"), max_nodes)
     pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i:]]
     pairs += _same_source_pairs(random.Random(102), same_source)
@@ -188,6 +201,7 @@ def criterion_oracle_agreement(budget_false: int = 15, max_nodes: int = 6, same_
     # a memo that holds a pruned form answers the form's own member set from
     # that entry, so each form is pruned again in a memo that has not seen it
     exprs = {e for pair in pairs + _same_source_pairs(random.Random(102), 200) for e in pair}
+    exprs.update(_two_absorbed(random.Random(103), 20))
     memo = {}
     forms = {prune(e, memo) for e in exprs}
     unpruned = sum(prune(p, {}) is not p for p in forms)

@@ -27,16 +27,15 @@ __setattr__, and enters it through the one publish routine, _publish.
 
 parse takes its tokens from one str.split, once one regex search has found
 no character outside the grammar, and reads them in one for-loop over an
-explicit stack of the open parenthesis groups.  render, the JSON AST
-conversions, the nodes' repr, atoms_of and the depth truncation
-dept_normal_form each run one loop over an explicit stack too;
-one preorder walk, _preorder, gives each position with its node and the
-arrows on its path, entering arrow sources or not, to subexpressions,
-strictly_positive_atom_positions and bcd.rewrite's redexes; pickling,
-node_count and arrow_depth are one fold, _fold, linear in distinct
-subterms; and every position operation walks its path by one validated
-descent, _path (a replacement rebuilds that path by one loop, _rebuild), so
-no nesting depth reaches the recursion limit.
+explicit stack of the open parenthesis groups.  render, to_json_obj, the
+nodes' repr, atoms_of and the depth truncation dept_normal_form each run one
+loop over an explicit stack too; one preorder walk, _preorder, gives each
+position with its node and the arrows on its path, entering arrow sources
+or not, to subexpressions, bcd.rewrite's redexes and bcd.gen's
+random_strictly_positive_step; pickling, node_count and arrow_depth are one
+fold, _fold, linear in distinct subterms; and bcd.rewrite's step walks its
+position by one validated descent, _path, and rebuilds that path by one
+loop, _rebuild, so no nesting depth reaches the recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
 (equiv over two truncations) loads no rewriting code; the module imports
 no json (the CLI dumps to_json_obj's objects itself).  render caches its
@@ -51,7 +50,7 @@ node cache refers back to its node, so every node still dies by reference
 counting.  They are render's _text; dept_normal_form's _dept, the last depth
 asked and its truncation (True when that is the node itself);
 bcd.decide.DecisionCache's _groups, the node's factor groups; and
-bcd.rewrite's _slat, _members and _memberset.
+bcd.rewrite's _slat and _members.
 
 All values are immutable after construction and every operation here is pure,
 so the module is safe for unsynchronized concurrent use.  Interning is too: a
@@ -64,7 +63,6 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from enum import Enum
 from operator import length_hint
 from typing import Union
 
@@ -258,12 +256,6 @@ def _decode(entries: list) -> Expr:
     return nodes[-1]
 
 
-class Polarity(Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-    STRICTLY_POSITIVE = "strictly_positive"
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -425,42 +417,6 @@ def to_json_obj(e: Expr) -> dict:
     return root
 
 
-def from_json_obj(obj) -> Expr:
-    """The expression of a JSON AST; raises ValueError on the first malformed
-    object in preorder, an atom whose name parse cannot read among them.  One
-    loop over an explicit stack of flat (item, constructor) pairs: an object
-    to read has no constructor, and a constructor pairs up the last two
-    expressions built."""
-    built = []
-    stack = [obj, None]
-    while stack:
-        cls = stack.pop()
-        x = stack.pop()
-        if cls is not None:
-            second = built.pop()
-            built.append(cls(built.pop(), second))
-            continue
-        if not isinstance(x, dict) or len(x) != 1:
-            raise ValueError(f"not an expression object: {x!r}")
-        if "atom" in x:
-            name = x["atom"]
-            if not (isinstance(name, str) and _ATOM_NAME.fullmatch(name)):
-                raise ValueError(f"bad atom name: {name!r}")
-            built.append(Atom(name))
-            continue
-        if "arrow" in x:
-            kind, cls = "arrow", Arrow
-        elif "meet" in x:
-            kind, cls = "meet", Meet
-        else:
-            raise ValueError(f"unknown expression node: {x!r}")
-        pair = x[kind]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"{kind} takes exactly two children")
-        stack += (None, cls, pair[1], None, pair[0], None)
-    return built[0]
-
-
 def render(e: Expr) -> str:
     """Render with minimal parenthesization.
 
@@ -497,14 +453,6 @@ def _rebuild(nodes: list, pos: Position, new: Expr) -> Expr:
         else:
             new = cls(getattr(x, first), new)
     return new
-
-
-def node_at(e: Expr, pos: Position) -> Expr:
-    return _path(e, pos)[-1]
-
-
-def replace_at(e: Expr, pos: Position, replacement: Expr) -> Expr:
-    return _rebuild(_path(e, pos), pos, replacement)
 
 
 def _preorder(e: Expr, sources: bool = True):
@@ -558,19 +506,10 @@ def atoms_of(e: Expr) -> frozenset:
     return frozenset(names)
 
 
-def ebb(e: Expr, pos: Position = ()) -> int:
-    """Count of arrow nodes on the root-to-pos path, including the node at pos
-    itself when that node is an arrow.
-
-    Consequently ebb(c -> d, ()) == 1 and the ebb of an atom at the root is 0.
-    Extending a position never decreases ebb.
-    """
-    return sum(x.__class__ is Arrow for x in _path(e, pos))
-
-
 def arrow_depth(e: Expr) -> int:
-    """Maximum ebb over all positions; 0 iff the expression has no arrow.
-    One step per distinct subterm."""
+    """Maximum ebb over all positions, where the ebb of a position counts the
+    arrows on its path, the node's own included; 0 iff the expression has
+    no arrow.  One step per distinct subterm."""
     return _fold(e, lambda x, i, j: 0 if i is None else max(i, j) + (x.__class__ is Arrow))
 
 
@@ -636,23 +575,3 @@ def dept_normal_form(e: Expr, n: int) -> Expr:
     t = done[0]
     e.__dict__["_dept"] = (n, True if t is e else t)
     return t
-
-
-def polarity(e: Expr, pos: Position) -> Polarity:
-    """Polarity of the occurrence at pos.
-
-    The root is strictly positive; descending into an arrow source flips
-    positive/negative and destroys strictness; arrow targets and meet operands
-    preserve everything.  Strict positivity refines positivity, so positions
-    with no arrow-source step report STRICTLY_POSITIVE rather than POSITIVE.
-    """
-    _path(e, pos)  # validates, raises InvalidPosition
-    flips = pos.count(ARROW_SOURCE)
-    if flips == 0:
-        return Polarity.STRICTLY_POSITIVE
-    return Polarity.NEGATIVE if flips % 2 else Polarity.POSITIVE
-
-
-def strictly_positive_atom_positions(e: Expr) -> list:
-    """Positions of atom occurrences reachable without entering an arrow source."""
-    return [pos for pos, x, _ in _preorder(e, sources=False) if x.__class__ is Atom]

@@ -371,6 +371,21 @@ class TestSelftest:
         assert not ok and " 0 disagreements" in detail, detail
         assert re.search(r" [1-9]\d* not their own pruned form$", detail), detail
 
+    def test_desk_criterion_02_kills_an_absorption_that_drops_one_arrow_per_pass(
+        self, monkeypatch
+    ):
+        # a sound prune that is not idempotent: of the absorbed arrows, drop
+        # the first only; the criterion's expressions with two absorbed
+        # arrows leave the second for a later prune
+        absorbed = rewrite._absorbed
+        name = "02 oracle agreement"
+        criterion, kwargs = dict(FULL_SCALE)[name], DESK_SCALE[name]
+        assert criterion(**kwargs)[0]
+        monkeypatch.setattr(rewrite, "_absorbed", lambda arrows: absorbed(arrows)[:1])
+        ok, detail = criterion(**kwargs)
+        assert not ok and " 0 disagreements" in detail, detail
+        assert re.search(r" [1-9]\d* not their own pruned form$", detail), detail
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HASH_SEED_ARGVS = [

@@ -13,7 +13,6 @@ from bcd.decide import (
     equiv,
     explain,
     factor_groups,
-    factor_to_expr,
     factors,
     satisfies_eq,
     sorted_groups,
@@ -36,6 +35,7 @@ from bcd.rewrite import (
 from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse, render
 
 from conftest import expr_strategy
+from test_factor_reference import factor_to_expr
 
 A, B, C, P, Q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
 

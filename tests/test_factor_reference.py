@@ -2,9 +2,10 @@
 
 bcd.factors reads every factor off one loop over the asked expression's
 strictly positive spine.  The functions below are verbatim copies of the
-memoized recursion `factors` and of the `sorted_factors` that this replaced
-(they build Factors of the unchanged bcd.decide.Factor), kept so that the
-pins compare the walk with the code it must agree with: the same factor
+memoized recursion `factors` and of the `sorted_factors` that this replaced,
+and of the `factor_to_expr` that `sorted_factors` and test_decide's
+reference explain read (they build Factors of the unchanged
+bcd.decide.Factor), kept so that the pins compare the walk with the code it must agree with: the same factor
 sets, the same display order from `sorted_groups`, which the CLI and
 `explain` read, and groups that hold each factor once, on seeded random
 trees, on random DAGs that share subterms, and on a nest of shared meets
@@ -13,7 +14,7 @@ that a walk without a visited set would take exponential time over.
 
 import random
 
-from bcd.decide import Factor, factor_groups, factor_to_expr, factors, sorted_groups
+from bcd.decide import Factor, factor_groups, factors, sorted_groups
 from bcd.gen import random_expr
 from bcd.syntax import Arrow, Atom, Expr, Meet, parse, render
 
@@ -44,6 +45,14 @@ def reference_factors(e: Expr, memo: dict | None = None) -> frozenset:
             )
         memo[e] = fs
     return fs
+
+
+def factor_to_expr(f: Factor) -> Expr:
+    """Rebuild the right-nested arrow expression; factors of the result is {f}."""
+    e: Expr = Atom(f.head)
+    for arg in reversed(f.args):
+        e = Arrow(arg, e)
+    return e
 
 
 def reference_sorted_factors(e: Expr, memo: dict | None = None) -> list:

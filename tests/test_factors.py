@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from bcd.decide import DecisionCache, Factor, factor_to_expr, factors
+from bcd.decide import DecisionCache, Factor, factors
 from bcd.gen import random_strictly_positive_step
 from bcd.rewrite import dist_normal_form, slat_canonical
 from bcd.syntax import (
@@ -14,11 +14,12 @@ from bcd.syntax import (
     Atom,
     Meet,
     parse,
-    strictly_positive_atom_positions,
     subexpressions,
 )
 
 from conftest import expr_strategy
+from test_factor_reference import factor_to_expr
+from test_syntax import _reference_strictly_positive_atom_positions
 
 A, B, C, P, Q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
 
@@ -69,7 +70,7 @@ class TestFactors:
         # independent construction: every strictly positive atom occurrence
         # induces the factor collecting the arrow sources along its path
         built = set()
-        for pos in strictly_positive_atom_positions(e):
+        for pos in _reference_strictly_positive_atom_positions(e):
             args = []
             cur = e
             for step in pos:
@@ -87,7 +88,7 @@ class TestFactors:
     def test_one_one_correspondence_on_dist_normal_forms(self, e):
         nf = dist_normal_form(e)
         occurrence_factors = {}
-        for pos in strictly_positive_atom_positions(nf):
+        for pos in _reference_strictly_positive_atom_positions(nf):
             args = []
             cur = nf
             for step in pos:
@@ -101,14 +102,8 @@ class TestFactors:
 
 
 class TestFactorToExpr:
-    def test_bare_atom(self):
-        assert factor_to_expr(Factor((), "p")) == P
-
-    def test_single_arg(self):
-        assert factor_to_expr(Factor((A,), "p")) == parse("a -> p")
-
-    def test_right_nesting(self):
-        assert factor_to_expr(Factor((A, B), "p")) == parse("a -> (b -> p)")
+    """factors reads one factor back off the right-nested arrow expression
+    that test_factor_reference's factor_to_expr rebuilds from it."""
 
     @given(expr_strategy(max_leaves=10))
     def test_round_trip(self, e):

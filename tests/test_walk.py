@@ -1,13 +1,13 @@
 """bcd.syntax's one preorder walk, _preorder, and the code that reads it.
 
-subexpressions, strictly_positive_atom_positions, bcd.rewrite's redexes and
-bcd.gen's random_strictly_positive_step all read the walk; the last two use
-the arrow count it gives each position.  The tests here hold that count
-against ebb and the walk that enters no arrow source against the full walk,
-guard redexes against deep input as test_syntax.TestNothingRecurses guards
-subexpressions, and pin random_strictly_positive_step to a verbatim copy of
-the version that listed every redex and kept those that polarity calls
-strictly positive.
+subexpressions, bcd.rewrite's redexes and bcd.gen's
+random_strictly_positive_step all read the walk; the last two use the arrow
+count it gives each position.  The tests here hold that count against
+test_step_reference's ebb and the walk that enters no arrow source against
+the full walk, guard redexes against deep input as
+test_syntax.TestNothingRecurses guards subexpressions, and pin
+random_strictly_positive_step to a copy of the version that listed every
+redex and kept the strictly positive ones.
 """
 
 import random
@@ -28,19 +28,10 @@ from bcd.rewrite import (
     dept,
     redexes,
 )
-from bcd.syntax import (
-    ARROW_SOURCE,
-    Arrow,
-    Atom,
-    Meet,
-    Polarity,
-    _preorder,
-    ebb,
-    node_at,
-    polarity,
-)
+from bcd.syntax import ARROW_SOURCE, Arrow, Atom, Meet, _preorder
 
 from conftest import big_expr_strategy, expr_strategy
+from test_step_reference import ebb, node_at
 from test_syntax import _EVERY_STEP, _at_limit_1000, _nest
 
 A = Atom("a")
@@ -102,7 +93,8 @@ class TestRedexesAtDepth:
 
 
 # gen.random_strictly_positive_step as it was before it read the walk,
-# verbatim apart from its name.
+# verbatim apart from its name and its strict positivity test, which asked
+# polarity (since deleted) and here reads its definition: no arrow-source step.
 def _reference_random_strictly_positive_step(rng: random.Random, e):
     """One random restricted reduction step at a strictly positive position,
     with the absp witness drawn from the subexpressions of e.
@@ -114,7 +106,7 @@ def _reference_random_strictly_positive_step(rng: random.Random, e):
     options = []
     for rule in rules:
         for pos in redexes(e, rule, restricted=True):
-            if polarity(e, pos) is Polarity.STRICTLY_POSITIVE:
+            if ARROW_SOURCE not in pos:
                 options.append((rule, pos))
     rule, pos = rng.choice(options)
     return rule, pos, apply(e, rule, pos)
