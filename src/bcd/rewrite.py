@@ -27,13 +27,15 @@ the top of a state or of a move; it builds a meet node only where a move is
 lifted into an arrow's source or target, and meets nested inside arrows stay
 expressions.  Members are put in rendering order only where order is read:
 in a state the search ranks, and so may expand, and in a meet node it
-builds.  It ranks a state's successors only while some of them can still be
-expanded; the rest are only checked against the other side and marked seen,
-since no order changes the verdict.  Its successor memo depends on the
-witness pool and lives for one call.  Its pruned-form memo maps a node to
-its pruned form, and a member set to the member set of its pruned form.  A
-meet is keyed by the set of its members' pruned forms, which is all that
-merging and absorption read, so they run once per such set.  A pruned
+builds.  No move leads back to its start: no successor set, of a state or
+of a subterm, is its start's own member set, so the search never builds the
+state it expands.  It ranks a state's successors only while some of them
+can still be expanded; the rest are only checked against the other side and
+marked seen, since no order changes the verdict.  Its successor memo depends
+on the witness pool and lives for one call.  Its pruned-form memo maps a
+node to its pruned form, and a member set to the member set of its pruned
+form.  A meet is keyed by the set of its members' pruned forms, which is all
+that merging and absorption read, so they run once per such set.  A pruned
 member set keys itself, so the memo holds one object per distinct pruned
 form, and it carries the form's meet node once prune has built it, so each
 pruned meet node is built once; the search reads the sets alone.  An entry
@@ -604,7 +606,9 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
     every result is a frozenset of distinct slat-canonical non-meets, built
     by set algebra with no sort.  The meet-level moves merge two same-source
     arrow members, drop an absorbed one, or replace one member by the
-    member set of one of its own moves.
+    member set of one of its own moves.  No move leads back to its start:
+    the member set itself is never a result, so a split or absp arrow that
+    the meet already holds adds nothing.
     """
     out = set()
     base = frozenset(members)
@@ -620,6 +624,7 @@ def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
         rest = base - {m}
         for n in _successors(m, witnesses, memo):
             out.add(rest | n)
+    out.discard(base)
     return out
 
 
@@ -638,6 +643,9 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     is a member set built into a meet node, as the arrow's new source or
     target.  Every arrow or meet built on the way is built from
     slat-canonical parts in canonical order, and so is slat-canonical.
+    No move leads back to its start: a witness whose members the source
+    already holds is skipped, since it would append x itself, and no
+    child's successor is its own member set, so no lifted move rebuilds x.
     Results are memoized per subexpression in memo, so states sharing a
     subterm share its moves.
     """
@@ -648,8 +656,10 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     if x.__class__ is Arrow:
         src, tgt = x.source, x.target
         sources = _members(src)
+        spine = frozenset(sources)
         for w in witnesses:
-            out.add(frozenset((x, Arrow(_sorted_meet(sources + _members(w)), tgt))))
+            if not spine.issuperset(_members(w)):
+                out.add(frozenset((x, Arrow(_sorted_meet(sources + _members(w)), tgt))))
         if tgt.__class__ is Meet:
             members = _members(tgt)
             for i, y in enumerate(members):
@@ -705,7 +715,8 @@ def convertible_bounded(
     side is expanded at most `budget` times, in order of the states'
     renderings, and every successor is followed by its pruned form.
     Successors are computed as member sets, down to the subterms, so a move
-    builds a meet node only as the source or target of an arrow.
+    builds a meet node only as the source or target of an arrow, and no
+    move leads back to its start, so a state is never its own successor.
     Successors that can no longer be expanded, because the queue already
     holds as many states as the side has expansions left, are neither
     sorted nor queued: they are only checked against the other side, and
@@ -759,7 +770,8 @@ def convertible_bounded(
             spent[idx] += 1
             # The sides' seen sets stay disjoint (a shared state confirms as
             # it is added), so a successor seen here with its pruned form can
-            # neither confirm nor be queued: drop it before the sort.
+            # neither confirm nor be queued: drop it before the sort.  The
+            # state itself is never a successor.
             fresh = [
                 nb
                 for nb in _member_successors(state, witnesses, moves)

@@ -606,11 +606,19 @@ def _seeded_pool(rng: random.Random, state) -> list:
     return sorted({slat_canonical(w) for w in picks}, key=render)
 
 
+def _reference_without_start(s: Expr, witnesses: list) -> tuple:
+    """_reference_neighbors(s, witnesses) with s itself removed, since no
+    move of the search leads back to its start, and whether it held s."""
+    want = _reference_neighbors(s, witnesses)
+    held = s in want
+    return [n for n in want if n is not s], held
+
+
 class TestSuccessors:
     def test_matches_reference_on_random_states(self):
         rng = random.Random(505)
         states = _random_states(rng, 1000)
-        total = 0
+        total = checks = held = 0
         for k in range(0, len(states), 50):
             group = states[k:k + 50]
             witnesses = _seeded_pool(rng, group[0])
@@ -618,15 +626,22 @@ class TestSuccessors:
             for state in group:
                 for s in (state, prune(state)):
                     got = sorted(_successor_nodes(s, witnesses, memo), key=render)
-                    assert got == _reference_neighbors(s, witnesses), render(s)
+                    want, had_start = _reference_without_start(s, witnesses)
+                    assert got == want, render(s)
                     total += len(got)
-        assert total > 5_000
+                    checks += 1
+                    held += had_start
+        # the reference holds the start in 485 of the 2,000 checks, so
+        # leaving it out is exercised
+        assert total > 5_000 and checks == 2_000 and held > 400, (total, held)
 
     def test_returns_member_sets(self):
         # each successor is the set of its top-level members, distinct
         # non-meets whose meet in rendering order is a slat-canonical form
+        # (6,232 sets from 1,100 states; 1,000 gave 4,974 once no move
+        # led back to its start)
         rng = random.Random(506)
-        states = _random_states(rng, 1000)
+        states = _random_states(rng, 1100)
         total = 0
         for k in range(0, len(states), 50):
             group = states[k:k + 50]
@@ -661,10 +676,55 @@ class TestSuccessors:
                 budget = 10_000 if cache.equiv(a, b) else 15
                 convertible_bounded(a, b, budget=budget)
         assert len(visited) > 500
+        held = 0
         for members, witnesses in visited:
             x = meet_of(members)
             got = sorted((meet_of(sorted(t, key=render)) for t in inner(members, list(witnesses), {})), key=render)
-            assert got == _reference_neighbors(x, list(witnesses)), render(x)
+            want, had_start = _reference_without_start(x, list(witnesses))
+            assert got == want, render(x)
+            held += had_start
+        # the reference holds the start for 503 of the 530 tuples
+        assert held > 450, held
+
+
+class TestNoMoveLeadsBack:
+    """No successor set equals its start's member set, at any level: a
+    move that would rebuild its start is never built."""
+
+    def test_seeded_states_and_every_subterm_they_reach(self):
+        # the seeded states of TestSuccessors and their pruned forms; the
+        # move memo then holds every subterm reached on the way, each
+        # checked against its own member set
+        rng = random.Random(505)
+        states = _random_states(rng, 1000)
+        checked = 0
+        for k in range(0, len(states), 50):
+            group = states[k:k + 50]
+            witnesses = _seeded_pool(rng, group[0])
+            memo = {}
+            for state in group:
+                for s in (state, prune(state)):
+                    assert frozenset(rewrite._members(s)) not in _successors(s, witnesses, memo), render(s)
+            for x, out in memo.items():
+                assert frozenset(rewrite._members(x)) not in out, render(x)
+                checked += 1
+        assert checked > 1_500, checked  # 1,594 distinct subterms
+
+    def test_desk_criterion_02_member_tuples(self, monkeypatch):
+        # every member tuple that desk criterion 02's searches pass to the
+        # state-level routine, top-level states and nested meets alike
+        inner = rewrite._member_successors
+        calls = [0]
+
+        def checking(members, witnesses, memo):
+            out = inner(members, witnesses, memo)
+            assert frozenset(members) not in out, render(meet_of(members))
+            calls[0] += 1
+            return out
+
+        monkeypatch.setattr(rewrite, "_member_successors", checking)
+        _desk_criterion_02_memo(monkeypatch)
+        assert calls[0] > 500, calls[0]  # 601 calls
 
 
 # Reference search: convertible_bounded as it was when a search state was a
@@ -1013,6 +1073,23 @@ class TestPrunedMemberKey:
         monkeypatch.setattr(rewrite, "_absorbed", counting)
         _desk_criterion_02_memo(monkeypatch)
         assert 0 < calls[0] <= 1_300, calls[0]
+
+    def test_desk_criterion_02_sorted_meet_count(self, monkeypatch):
+        # the search builds no move that leads back to its start: 2,909
+        # calls of _sorted_meet over desk criterion 02, the same under hash
+        # seeds 0, 1 and 2
+        # (3,722 when absp took witnesses the source already held and a
+        # meet listed its own member set among its successors)
+        calls = [0]
+        sorted_meet = rewrite._sorted_meet
+
+        def counting(members):
+            calls[0] += 1
+            return sorted_meet(members)
+
+        monkeypatch.setattr(rewrite, "_sorted_meet", counting)
+        _desk_criterion_02_memo(monkeypatch)
+        assert 0 < calls[0] <= 3_000, calls[0]
 
 
 def _reference_slat(e: Expr) -> Expr:
