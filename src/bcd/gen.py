@@ -14,8 +14,9 @@ from .rewrite import (
     absp,
     apply,
     redexes,
+    witness_pool,
 )
-from .syntax import Arrow, Atom, Expr, Meet, _preorder, subexpressions
+from .syntax import Arrow, Atom, Expr, Meet, _preorder
 
 
 def random_expr(rng: random.Random, size: int, atoms=("a", "b", "c")) -> Expr:
@@ -50,17 +51,6 @@ def all_exprs(atoms, max_nodes: int) -> list:
     return out
 
 
-def witness_pool(*exprs: Expr) -> list:
-    pool = []
-    seen = set()
-    for e in exprs:
-        for _, sub in subexpressions(e):
-            if sub not in seen:
-                seen.add(sub)
-                pool.append(sub)
-    return pool
-
-
 def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list) -> Expr:
     """The end of a random restricted reduction of up to max_steps steps.
 
@@ -74,11 +64,9 @@ def random_walk(rng: random.Random, start: Expr, max_steps: int, witnesses: list
         rng.shuffle(rules)
         for rule in rules:
             positions = redexes(cur, rule, restricted=True)
-            if positions:
+            if positions:  # restricted idem matches every atom, so some rule does
                 cur = apply(cur, rule, rng.choice(positions))
                 break
-        else:
-            break
     return cur
 
 

@@ -25,21 +25,25 @@ successor of a subterm, as the set of its meet members (distinct
 slat-canonical non-meets), so it never builds or re-flattens a meet spine at
 the top of a state or of a move; it builds a meet node only where a move is
 lifted into an arrow's source or target, and meets nested inside arrows stay
-expressions.  Members are put in rendering order only where order is read:
-in a state the search ranks, and so may expand, and in a meet node it
-builds.  No move leads back to its start: no successor set, of a state or
-of a subterm, is its start's own member set, so the search never builds the
-state it expands.  It ranks a state's successors only while some of them
-can still be expanded; the rest are only checked against the other side and
-marked seen, since no order changes the verdict.  Its successor memo depends
-on the witness pool and lives for one call.  Its pruned-form memo maps a
-node to its pruned form, and a member set to the member set of its pruned
-form.  A meet is keyed by the set of its members' pruned forms, which is all
-that merging and absorption read, so they run once per such set.  A pruned
-member set keys itself, so the memo holds one object per distinct pruned
-form, and it carries the form's meet node once prune has built it, so each
-pruned meet node is built once; the search reads the sets alone.  An entry
-depends on its key alone, so a caller may pass one dict to many searches.
+expressions.  A state has one form, its member set, whether seen, queued or
+expanded.  Members are put in rendering order only where order is read: in
+the key by which the search ranks a state, and in a meet node it builds.  No
+move leads back to its start: no successor set, of a state or of a subterm,
+is its start's own member set, so the search never builds the state it
+expands.  One loop checks each successor against the other side and marks
+it seen; it ranks and queues the successors only while some of them can
+still be expanded, since no order changes the verdict.  The default witness
+pool is witness_pool's walk over the distinct subterms of both sides, the
+same walk that bcd.gen draws its witnesses from.  The search's successor
+memo depends on the witness pool and lives for one call.  Its pruned-form
+memo maps a node to its pruned form, and a member set to the member set of
+its pruned form.  A meet is keyed by the set of its members' pruned forms,
+which is all that merging and absorption read, so they run once per such
+set.  A pruned member set keys itself, so the memo holds one object per
+distinct pruned form, and it carries the form's meet node once prune has
+built it, so each pruned meet node is built once; the search reads the sets
+alone.  An entry depends on its key alone, so a caller may pass one dict to
+many searches.
 
 All operations are pure, and the search keeps its frontier and memos out of
 module state, so the module is safe for unsynchronized concurrent use.  The
@@ -214,9 +218,7 @@ def _rewrite_once(rule: Rule, sub: Expr) -> Expr:
         )
     if kind == "absp":
         return Meet(sub, Arrow(Meet(sub.source, rule.absp_witness), sub.target))
-    if kind == "dept":
-        return _AT
-    raise ValueError(kind)
+    return _AT  # dept, the one kind left: Rule admits no other
 
 
 def apply(e: Expr, rule: Rule, pos: Position) -> Expr:
@@ -598,13 +600,13 @@ def _prune(c: Expr, memo: dict) -> Expr:
     return result
 
 
-def _member_successors(members: tuple, witnesses: list, memo: dict) -> set:
-    """Sound one-move successors of the meet of a member tuple, as member
-    sets.
+def _member_successors(members, witnesses: list, memo: dict) -> set:
+    """Sound one-move successors of the meet of a member collection, as
+    member sets.
 
-    The members are distinct slat-canonical non-meets sorted by rendering;
-    every result is a frozenset of distinct slat-canonical non-meets, built
-    by set algebra with no sort.  The meet-level moves merge two same-source
+    The members are distinct slat-canonical non-meets, in any order; every
+    result is a frozenset of distinct slat-canonical non-meets, built by set
+    algebra with no sort.  The meet-level moves merge two same-source
     arrow members, drop an absorbed one, or replace one member by the
     member set of one of its own moves.  No move leads back to its start:
     the member set itself is never a result, so a split or absp arrow that
@@ -677,26 +679,32 @@ def _successors(x: Expr, witnesses: list, memo: dict) -> frozenset:
     return out
 
 
-def _state_key(state: tuple) -> str:
-    """render(meet_of(state)), without building the meet."""
+def _state_key(state) -> str:
+    """render of the meet of a member set in rendering order, without
+    building the meet."""
     if len(state) == 1:
-        return render(state[0])
-    return " & ".join("(" + render(m) + ")" if isinstance(m, Arrow) else render(m) for m in state)
+        (m,) = state
+        return render(m)
+    return " & ".join(
+        "(" + render(m) + ")" if m.__class__ is Arrow else render(m) for m in sorted(state, key=render)
+    )
 
 
-def default_witnesses(*exprs: Expr) -> list:
-    """Deduplicated slat-canonical subexpressions of the given expressions,
-    collected by one walk over their distinct subterms."""
-    seen, stack = set(), list(exprs)
+def witness_pool(*exprs: Expr) -> list:
+    """The distinct subterms of the given expressions, in preorder of their
+    first occurrence, source and left operand first: one loop over an
+    explicit stack, which enters each distinct subterm once."""
+    pool, seen, stack = [], set(), list(reversed(exprs))
     while stack:
         x = stack.pop()
         if x not in seen:
             seen.add(x)
+            pool.append(x)
             if x.__class__ is Arrow:
-                stack += (x.source, x.target)
+                stack += (x.target, x.source)
             elif x.__class__ is Meet:
-                stack += (x.left, x.right)
-    return sorted({slat_canonical(x) for x in seen}, key=render)
+                stack += (x.right, x.left)
+    return pool
 
 
 def convertible_bounded(
@@ -708,18 +716,19 @@ def convertible_bounded(
 ) -> Verdict:
     """Bidirectional breadth-first search for a conversion between a and b.
 
-    States are slat-canonical, each held as the set of its top-level meet
-    members, and queued as the tuple of those members sorted by rendering;
-    moves are dist and absp in both directions, with absp instantiated only
-    from the witness pool (by default the subexpressions of a and b).  Each
-    side is expanded at most `budget` times, in order of the states'
-    renderings, and every successor is followed by its pruned form.
+    States are slat-canonical, each held, seen and queued as the one set of
+    its top-level meet members; moves are dist and absp in both directions,
+    with absp instantiated only from the witness pool (by default
+    witness_pool(a, b)), taken as the set of its members' slat-canonical
+    forms.  Each side is expanded at most `budget` times, in order of the
+    states' renderings, and every successor is followed by its pruned form.
     Successors are computed as member sets, down to the subterms, so a move
     builds a meet node only as the source or target of an arrow, and no
     move leads back to its start, so a state is never its own successor.
-    Successors that can no longer be expanded, because the queue already
-    holds as many states as the side has expansions left, are neither
-    sorted nor queued: they are only checked against the other side, and
+    One loop checks and marks every successor; it ranks them by rendering
+    and queues them only while the side can still expand them, that is
+    while the queue holds fewer states than the side has expansions left.
+    Past that point they are only checked against the other side, and
     marked seen so that the other side checks against them.
     CONFIRMED is returned exactly when the explored sets intersect, which
     implies a and b are congruent; UNKNOWN implies nothing.  Moves are
@@ -730,9 +739,8 @@ def convertible_bounded(
     alone.
     """
     if witnesses is None:
-        witnesses = default_witnesses(a, b)
-    else:
-        witnesses = sorted({slat_canonical(w) for w in witnesses}, key=render)
+        witnesses = witness_pool(a, b)
+    witnesses = sorted({slat_canonical(w) for w in witnesses}, key=render)
     if memo is None:
         memo = {}
 
@@ -745,14 +753,13 @@ def convertible_bounded(
     moves = {}
     sides = []
     for root in (a, b):
-        canon = _members(slat_canonical(root))
-        start = frozenset(canon)
+        start = frozenset(_members(slat_canonical(root)))
         seen = {start}
-        queue = deque([canon])
+        queue = deque([start])
         p = pruned(start)
         if p not in seen:
             seen.add(p)
-            queue.append(_sorted_members(p))
+            queue.append(p)
         sides.append((seen, queue))
 
     (seen_a, queue_a), (seen_b, queue_b) = sides
@@ -779,21 +786,15 @@ def convertible_bounded(
             ]
             # Once the queue holds as many states as this side has
             # expansions left, nothing queued now is ever expanded: the
-            # successors are only checked against the other side and seen.
-            if len(queue) >= budget - spent[idx]:
-                for nb in fresh:
-                    for candidate in (nb, pruned(nb)):
-                        if candidate in other:
-                            return Verdict.CONFIRMED
-                        seen.add(candidate)
-                continue
-            ranked = {_sorted_members(nb): nb for nb in fresh}
-            for members in sorted(ranked, key=_state_key):
-                nb = ranked[members]
+            # successors are neither ranked nor queued, only checked against
+            # the other side and marked seen.
+            ranks = len(queue) < budget - spent[idx]
+            for nb in (sorted(fresh, key=_state_key) if ranks else fresh):
                 for candidate in (nb, pruned(nb)):
                     if candidate in other:
                         return Verdict.CONFIRMED
                     if candidate not in seen:
                         seen.add(candidate)
-                        queue.append(members if candidate is nb else _sorted_members(candidate))
+                        if ranks:
+                            queue.append(candidate)
     return Verdict.UNKNOWN

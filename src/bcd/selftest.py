@@ -11,14 +11,13 @@ import random
 import time
 from collections import Counter
 
-from .bench import fitted_exponent, scaling_run, time_decision
+from .bench import fitted_exponent, scaling_run, time_decision, time_matrix
 from .decide import DecisionCache, factors, satisfies_eq, subtype_matrix
 from .gen import (
     all_exprs,
     random_expr,
     random_strictly_positive_step,
     random_walk,
-    witness_pool,
 )
 from .model import build_model, stack_of_twos
 from .rewrite import (
@@ -37,6 +36,7 @@ from .rewrite import (
     prune,
     redexes,
     slat_canonical,
+    witness_pool,
 )
 from .syntax import (
     Arrow,
@@ -442,10 +442,8 @@ def _conservation_walk(rng: random.Random, start: Expr, steps: int, n: int) -> E
         options = []
         for rule, weight in weighted:
             positions = redexes(cur, rule, restricted=True)
-            if positions:
+            if positions:  # restricted idem matches every atom, so options is never empty
                 options.append((rule, positions, weight))
-        if not options:
-            break
         total = sum(w for _, _, w in options)
         pick = rng.uniform(0, total)
         for rule, positions, weight in options:
@@ -482,8 +480,6 @@ def criterion_conservation(samples: int = 200):
 def criterion_scaling(sizes=(200, 400, 800, 1600)):
     """Matrix wall times fit a bounded polynomial; a kilonode instance decides
     fast both as a single query and as a full matrix."""
-    from .bench import time_matrix
-
     pairs = scaling_run(sizes, seed=110)
     exponent = fitted_exponent(pairs)
     decide_seconds = time_decision(1000, seed=110)

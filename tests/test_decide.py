@@ -19,7 +19,7 @@ from bcd.decide import (
     subseteq,
     subtype_matrix,
 )
-from bcd.gen import all_exprs, random_expr, witness_pool
+from bcd.gen import all_exprs, random_expr
 from bcd.rewrite import (
     ASSO,
     ASSO_INV,
@@ -31,6 +31,7 @@ from bcd.rewrite import (
     apply,
     convertible_bounded,
     redexes,
+    witness_pool,
 )
 from bcd.syntax import Arrow, Atom, Meet, arrow_depth, parse, render
 
@@ -63,6 +64,34 @@ class TestSubseteq:
     def test_arity_mismatch_never_matches(self):
         assert not subseteq(parse("a -> (a -> b)"), parse("a -> b"))
         assert not subseteq(parse("a -> b"), parse("a -> (a -> b)"))
+
+
+class TestMemoOnSharedInput:
+    """The pair memo keeps a shared family linear: each level's meet holds
+    two arrows from one shared source, so a decider that forgets its pairs
+    decides that source twice per level."""
+
+    def test_match_calls_are_linear_in_the_depth(self, monkeypatch):
+        # x_{k+1} = (x_k -> h) & (x_k -> g) against its reordering
+        # y_{k+1} = (y_k -> g) & (y_k -> h), from x_0 = y_0 = a: 20 group
+        # matches per direction at k = 20 with the memo, 2^20 - 1 without
+        g, h = Atom("g"), Atom("h")
+        x = y = A
+        for _ in range(20):
+            x = Meet(Arrow(x, h), Arrow(x, g))
+            y = Meet(Arrow(y, g), Arrow(y, h))
+        inner = DecisionCache._matches
+        calls = [0]
+
+        def counting(self, ga, gb):
+            calls[0] += 1
+            assert calls[0] <= 1_000, "the pair memo is not consulted"
+            return inner(self, ga, gb)
+
+        monkeypatch.setattr(DecisionCache, "_matches", counting)
+        cache = DecisionCache()
+        assert cache.subseteq(x, y) and cache.subseteq(y, x)
+        assert calls[0] == 40
 
 
 class TestEquiv:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcd.decide import DecisionCache, equiv, satisfies_eq
-from bcd.gen import all_exprs, random_walk, witness_pool
+from bcd.gen import all_exprs, random_walk
 from bcd.model import (
     CARRIER_CAP,
     LimitExceeded,
@@ -17,7 +17,7 @@ from bcd.model import (
     build_model,
     stack_of_twos,
 )
-from bcd.rewrite import meet_of, slat_canonical
+from bcd.rewrite import meet_of, slat_canonical, witness_pool
 from bcd.syntax import Arrow, Atom, Meet, arrow_depth, atoms_of, dept_normal_form, parse, render
 
 from conftest import alarm, expr_strategy

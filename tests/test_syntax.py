@@ -22,10 +22,10 @@ from bcd.model import build_model
 from bcd.rewrite import (
     Verdict,
     convertible_bounded,
-    default_witnesses,
     dist_normal_form,
     prune,
     slat_canonical,
+    witness_pool,
 )
 from bcd.syntax import (
     ARROW_SOURCE,
@@ -786,7 +786,7 @@ def _outputs(texts: list) -> list:
         out.append(render(slat_canonical(a)))
         out.append(render(prune(a)))
         out.append([t for pairs in sorted_groups(factor_groups(a)).values() for t, _ in pairs])
-        out.append([render(w) for w in default_witnesses(a, b)])
+        out.append(sorted({render(slat_canonical(w)) for w in witness_pool(a, b)}))
         out.append(json.dumps(explain(a, b)))
     return out
 

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given
 
-from bcd.gen import random_expr, random_strictly_positive_step, witness_pool
+from bcd.gen import random_expr, random_strictly_positive_step
 from bcd.rewrite import (
     ASSO,
     ASSO_INV,
@@ -27,6 +27,7 @@ from bcd.rewrite import (
     apply,
     dept,
     redexes,
+    witness_pool,
 )
 from bcd.syntax import ARROW_SOURCE, Arrow, Atom, Meet, _preorder
 
