@@ -30,6 +30,7 @@ import time
 from .decide import (
     DecisionCache,
     LimitExceeded,
+    _check_bytes,
     factor_groups,
     satisfies_eq,
     sorted_groups,
@@ -129,6 +130,8 @@ def _cmd_model(args) -> int:
     atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
     model = build_model(atoms, args.depth)
     # read before anything is printed, so that a refusal leaves stdout empty
+    if args.tables:  # held at once: 8 bytes an entry in each of the two
+        _check_bytes(16 * model.size**2, f"two tables over {model.size} classes need")
     tables = (model.meet_table, model.arrow_table) if args.tables else ()
     bound = stack_of_twos(args.depth + 1, len(model.atoms) + args.depth)
     if args.json:

@@ -21,11 +21,11 @@ Two implementations are provided: a memoized recursion on subexpression pairs
 (the workhorse), whose cache also builds explanations, and an explicit
 Boolean matrix over the subexpressions of a root, filled once per pair of
 distinct subexpressions whose (head, arity) key sets pass the subset test,
-in decreasing order of the smaller index; repeated subexpressions share one
-row.  Both read factor_groups.  The cache keeps each asked node's groups
-on the node, as _groups, so every cache shares them; the matrix numbers its
-own copy and keeps nothing.  The matrix's fill is its own matching loop, so
-it stays an independent check on the recursion.
+in decreasing order of the smaller index, into one row per distinct
+subexpression.  Both read factor_groups.  The cache keeps each asked node's
+groups on the node, as _groups, so every cache shares them; the matrix
+numbers its own copy and keeps nothing.  The matrix's fill is its own
+matching loop, so it stays an independent check on the recursion.
 
 "@" receives no special treatment here, except in satisfies_eq: equality in
 the depth-n model, which by the finite model property is equiv over the two
@@ -37,7 +37,6 @@ threads, and behaves as if each query were evaluated in isolation.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 from .syntax import INFINITE_DEPTH, Arrow, Atom, Expr, Meet, dept_normal_form, render
@@ -204,16 +203,17 @@ class DecisionCache:
     def _matches(self, ga: dict, gb: dict) -> bool:
         """Every factor of gb finds one in ga of its head and arity whose
         arguments each lie above the gb factor's argument at that place.
-        A factor that ga holds itself matches by reflexivity, before any
-        candidate is tried, so a meet against a reordering of itself decides
-        no pair of distinct arguments."""
+        A factor that ga holds itself matches by reflexivity, found in a set
+        of ga's group before any candidate is tried, so a meet against a
+        reordering of itself decides no pair of distinct arguments."""
         subseteq = self.subseteq
         for ha, blists in gb.items():
             alist = ga.get(ha)
             if alist is None:
                 return False
+            aset = set(alist)
             for bargs in blists:
-                if bargs in alist:
+                if bargs in aset:
                     continue
                 for aargs in alist:
                     for x, y in zip(bargs, aargs):
@@ -289,25 +289,27 @@ def satisfies_eq(n: int, a: Expr, b: Expr) -> bool:
 class SubtypeMatrix(NamedTuple):
     """Square Boolean matrix over the DFS-numbered subexpressions of a root.
 
-    bits[i][j] is 1 exactly when subexpression i is below subexpression j;
-    the diagonal is reflexive and the relation is transitive.  Occurrences
-    of one subexpression share one row object.
+    rows[c][d] is 1 exactly when class c is below class d, and classes[i]
+    is the class (distinct subexpression) of preorder position i; the
+    diagonal is reflexive and the relation is transitive.
     """
 
     exprs: tuple
-    bits: tuple  # tuple of bytes rows
+    classes: tuple  # the class of each preorder position
+    rows: tuple  # one bytearray row of k entries per class
 
     @property
     def size(self) -> int:
         return len(self.exprs)
 
     def holds(self, i: int, j: int) -> bool:
-        return bool(self.bits[i][j])
+        return bool(self.rows[self.classes[i]][self.classes[j]])
 
 
 def _numbering(root: Expr):
     """The preorder list, the class numbers, and each class's factor groups
-    with arguments as class numbers; checks MATRIX_CAP_BYTES first.
+    with arguments as class numbers; first checks the matrix's k*k + 8*n
+    bytes against MATRIX_CAP_BYTES.
 
     A class is a distinct subexpression, numbered in order of its last
     preorder occurrence.  Each occurrence of a node contains its factor
@@ -324,7 +326,7 @@ def _numbering(root: Expr):
         elif isinstance(e, Meet):
             stack += (e.right, e.left)
     number = {x: c for c, x in enumerate(reversed(dict.fromkeys(reversed(exprs))))}
-    _check_bytes(len(number) * (len(number) + len(exprs)), "subtype matrix needs")
+    _check_bytes(len(number) ** 2 + 8 * len(exprs), "subtype matrix needs")
     at = number.__getitem__
     groups = [
         {key: [tuple(map(at, args)) for args in argss] for key, argss in factor_groups(e).items()}
@@ -347,10 +349,9 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
     matching over pairs filled before it.  Only pairs whose key sets pass
     the subset test are visited: each row and column takes its candidates
     from the bitmask of the classes whose key sets lie below or above its
-    own.  Each class row is then expanded once, by one gather, to the
-    preorder row its occurrences share: k*k + k*n bytes for n nodes, refused
-    with LimitExceeded above MATRIX_CAP_BYTES.  Agrees pointwise with
-    subseteq on every pair.
+    own.  The filled rows, one per class, are the matrix's rows: k*k bytes,
+    plus a class tuple of n entries for n nodes, refused with LimitExceeded
+    above MATRIX_CAP_BYTES.  Agrees pointwise with subseteq on every pair.
     """
     exprs, number, grouped = _numbering(root)
     k = len(number)
@@ -374,13 +375,7 @@ def subtype_matrix(root: Expr) -> SubtypeMatrix:
         for i in _set_bits(above[ks], m + 1):
             if _matrix_entry(grouped[i], gm, rows):
                 rows[i][m] = 1
-    cls = [number[x] for x in exprs]
-    if len(cls) == 1:  # itemgetter of one index gives a scalar, not a tuple
-        shared = [bytes(rows[0])]
-    else:
-        gather = itemgetter(*cls)
-        shared = [bytes(gather(row)) for row in rows]
-    return SubtypeMatrix(tuple(exprs), tuple(shared[c] for c in cls))
+    return SubtypeMatrix(tuple(exprs), tuple(map(number.__getitem__, exprs)), tuple(rows))
 
 
 def _set_bits(mask: int, start: int):

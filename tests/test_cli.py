@@ -182,14 +182,31 @@ class TestModelVerb:
         ids=["at_p_q-d1", "at_p_q-d1-json", "12_atoms-d0"],
     )
     def test_tables_over_the_byte_cap_exit_3(self, capsys, atoms, depth, mode, k):
-        # a table of k classes holds k * k slots of 8 bytes
+        # the two tables of k classes hold 2 * k * k slots of 8 bytes
         assert run(["model", "--atoms", atoms, "--depth", depth, "--tables", *mode]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"limit exceeded: a table over {k} classes needs {8 * k * k} bytes;"
+            f"limit exceeded: two tables over {k} classes need {16 * k * k} bytes;"
             f" the cap is {MATRIX_CAP_BYTES}\n"
         )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_tables_that_fit_only_alone_exit_3(self, capsys, monkeypatch, mode):
+        # 127 classes over 7 atoms at depth 0: under the lowered cap each
+        # table's 8 * 127**2 = 129,032 bytes fits, and both tables' do not
+        from bcd.model import build_model
+
+        monkeypatch.setattr("bcd.decide.MATRIX_CAP_BYTES", 240_000)
+        atoms = "@,a,b,c,d,e,f"
+        assert run(["model", "--atoms", atoms, "--depth", "0", "--tables", *mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "limit exceeded: two tables over 127 classes need 258064 bytes; the cap is 240000\n"
+        )
+        model = build_model(atoms.split(","), 0)
+        assert len(model.meet_table) == len(model.arrow_table) == 127
 
     def test_eleven_atom_tables_print(self, capsys):
         # 2,047 classes: 8 * 2047**2 bytes is under the cap

@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+import time
 import tracemalloc
 
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from bcd.decide import (
     DecisionCache,
     Factor,
-    SubtypeMatrix,
     _numbering,
     equiv,
     explain,
@@ -92,6 +92,18 @@ class TestMemoOnSharedInput:
         cache = DecisionCache()
         assert cache.subseteq(x, y) and cache.subseteq(y, x)
         assert calls[0] == 40
+
+
+class TestReflexiveMatch:
+    def test_arrow_meet_against_its_reverse_in_linear_time(self):
+        # each factor of the reversed meet is found in a set of the other's
+        # group, built once: about 0.2 s on a 2-CPU desk machine, where
+        # scanning the group as a list took 5.4 s
+        arrows = [f"(x{i} -> a)" for i in range(20_000)]
+        m, r = parse(" & ".join(arrows)), parse(" & ".join(reversed(arrows)))
+        t0 = time.perf_counter()
+        assert subseteq(m, r)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestEquiv:
@@ -338,7 +350,7 @@ def _reference_subtype_matrix(root):
             else:
                 v = _reference_matrix_entry(grouped[i], grouped[j], rows)
             rows[i][j] = v
-    return SubtypeMatrix(tuple(exprs), tuple(bytes(r) for r in rows))
+    return tuple(exprs), tuple(bytes(r) for r in rows)
 
 
 def _reference_matrix_entry(gi: dict, gj: dict, rows) -> int:
@@ -374,11 +386,20 @@ def _repeated_copies_root():
 class TestSubtypeMatrixMatchesReference:
     def _pin(self, root):
         m = subtype_matrix(root)
-        assert m == _reference_subtype_matrix(root)
-        # occurrences of one subexpression share one row object
-        row_of = {}
-        for x, row in zip(m.exprs, m.bits):
-            assert row_of.setdefault(x, row) is row
+        exprs, bits = _reference_subtype_matrix(root)
+        assert m.exprs == exprs
+        assert all(
+            m.holds(i, j) == bool(bits[i][j]) for i in range(m.size) for j in range(m.size)
+        )
+        # one row of k bytes for each of the k distinct subexpressions, and
+        # all positions of one node share its class
+        k = len(set(exprs))
+        assert len(m.rows) == k and all(len(row) == k for row in m.rows)
+        assert len(m.classes) == m.size
+        class_of = {}
+        for x, c in zip(m.exprs, m.classes):
+            assert class_of.setdefault(x, c) == c
+        assert sorted(class_of.values()) == list(range(k))
 
     def test_single_atom(self):
         self._pin(P)
@@ -395,8 +416,11 @@ class TestSubtypeMatrixMatchesReference:
         self._pin(random_expr(random.Random(1601), 1601))
 
     def test_fill_memory_is_below_one_byte_per_entry(self):
-        # k*k + k*n bytes of rows for k distinct subterms; the preorder-pair
-        # fill needed two n*n tables
+        # k*k bytes of rows for k distinct subterms, plus the fill's
+        # per-class factor groups and key sets: under half a byte per entry
+        # of the n x n matrix.  Expanding the rows to the n positions (k*n
+        # more bytes) went past that bound, and the preorder-pair fill
+        # needed two n*n tables
         root = random_expr(random.Random(1601), 1601)
         tracemalloc.start()
         try:
@@ -405,7 +429,24 @@ class TestSubtypeMatrixMatchesReference:
         finally:
             tracemalloc.stop()
         assert m.size == 1601
-        assert peak < m.size**2
+        assert peak < m.size**2 // 2
+
+    def test_hundred_copies_root_is_answered(self):
+        # a 200,199-node meet of 100 copies of one 2,001-node tree: 729
+        # classes, so 729 rows of 729 bytes, where k*k + k*n bytes of
+        # per-position rows would exceed the byte cap
+        tree = random_expr(random.Random(7), 2001)
+        root = tree
+        for _ in range(99):
+            root = Meet(root, tree)
+        m = subtype_matrix(root)
+        assert m.size == 200_199
+        assert len(m.rows) == 729 and all(len(row) == 729 for row in m.rows)
+        rng = random.Random(39)
+        cache = DecisionCache()
+        for _ in range(2000):
+            i, j = rng.randrange(m.size), rng.randrange(m.size)
+            assert m.holds(i, j) == cache.subseteq(m.exprs[i], m.exprs[j])
 
 
 class TestExplain:

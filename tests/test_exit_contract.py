@@ -8,14 +8,16 @@ an arrow into a 20,000-member meet, a meet of 15,798 atoms nested to the
 left and to the right, a meet of 8,812 arrows, and one atom of 131,000
 letters, alone and followed by a character no token starts, plus the
 explanation family s_k at k = 6.  `model` rows build the largest carrier
-that fits and ask past each of its caps, `bench --stdin` rows read the
-chains from stdin, and `selftest` runs the embedded checks; every verb
-starts at least one row.
+that fits and ask past each of its caps, `bench --stdin` rows read from
+stdin the chains and a meet of 100 copies of one 2,001-node random tree
+(555,197 characters, 729 distinct subterms), and `selftest` runs the
+embedded checks; every verb starts at least one row.
 A refusal (exit 3) writes nothing to stdout.  A row whose refusal becomes an
 answer changes its expected exit code here.
 """
 
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -24,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from bcd.cli import _DISPATCH
+from bcd.gen import random_expr
+from bcd.syntax import Meet, render
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ADDRESS_SPACE = 2 << 30  # bytes
@@ -43,6 +47,15 @@ def _explain_family(k: int) -> str:
     return s
 
 
+def _hundred_copies() -> str:
+    """The left-nested meet of 100 copies of one 2,001-node random tree."""
+    tree = random_expr(random.Random(7), 2001)
+    meet = tree
+    for _ in range(99):
+        meet = Meet(meet, tree)
+    return render(meet)
+
+
 LEFT = _left_chain(26_214, "b")
 LEFT_OTHER = _left_chain(26_214, "c")
 RIGHT = "a" + "->a" * 43_689
@@ -57,6 +70,7 @@ ARROW_MEETS = [f"(x{i} -> a)" for i in range(8_812)]
 ARROW_MEET = " & ".join(ARROW_MEETS)
 ARROW_MEET_REVERSED = " & ".join(reversed(ARROW_MEETS))
 LONG_ATOM = "a" * 131_000
+HUNDRED_COPIES = _hundred_copies()
 
 
 def _meet_rows(name: str, meet: str, reversed_meet: str) -> list:
@@ -108,6 +122,7 @@ ROWS = [
     ("model-12_atoms-d0", ["model", "--atoms", "@," + ",".join("abcdefghijk"), "--depth", "0"], 0),
     ("bench-stdin-left", ["bench", "--stdin"], 3, LEFT),
     ("bench-stdin-right", ["bench", "--stdin"], 3, RIGHT),
+    ("bench-stdin-hundred-copies", ["bench", "--stdin"], 0, HUNDRED_COPIES),
     ("selftest", ["selftest"], 0),
 ]
 
