@@ -96,7 +96,8 @@ def _cmd_factors(args) -> int:
     return 0
 
 
-def _cmd_compare(args, want_equiv: bool) -> int:
+def _cmd_compare(args) -> int:
+    want_equiv = args.verb == "eq"
     a = parse(args.a)
     b = parse(args.b)
     cache = DecisionCache()
@@ -219,61 +220,56 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("parse", help="parse and reprint an expression")
+    p.set_defaults(run=_cmd_parse)
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nf", help="normal forms: dist, dept, or slat")
+    p.set_defaults(run=_cmd_nf)
     p.add_argument("--kind", choices=("dist", "dept", "slat"), required=True)
     p.add_argument("--depth", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("expr")
 
     p = sub.add_parser("factors", help="print the factor set")
+    p.set_defaults(run=_cmd_factors)
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
 
     for verb, help_text in (("le", "decide a below b"), ("eq", "decide congruence")):
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(run=_cmd_compare)
         p.add_argument("a")
         p.add_argument("b")
         p.add_argument("--json", action="store_true")
         p.add_argument("--explain", action="store_true")
 
     p = sub.add_parser("sat", help="decide equality in the depth-n model")
+    p.set_defaults(run=_cmd_sat)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("model", help="build a finite model and print its carrier")
+    p.set_defaults(run=_cmd_model)
     p.add_argument("--atoms", default="@")
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--tables", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bench", help="time the subtype matrix on random instances")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--sizes", default="200,400,800,1600")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--stdin", action="store_true", help="time expressions read from stdin")
 
     p = sub.add_parser("selftest", help="run the embedded acceptance checks")
+    p.set_defaults(run=_cmd_selftest)
     p.add_argument("--full", action="store_true", help="full scale instead of desk scale")
 
     return parser
-
-
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "nf": _cmd_nf,
-    "factors": _cmd_factors,
-    "le": lambda args: _cmd_compare(args, want_equiv=False),
-    "eq": lambda args: _cmd_compare(args, want_equiv=True),
-    "sat": _cmd_sat,
-    "model": _cmd_model,
-    "bench": _cmd_bench,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(argv) -> int:
@@ -284,7 +280,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.verb](args)
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

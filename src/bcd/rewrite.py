@@ -18,7 +18,12 @@ counts), for a single step and for the counted walk alike.  absp is
 generative (its C is arbitrary), so it never takes part in normalization; it
 appears only in the bounded conversion search, with witnesses drawn from a
 finite pool.  The dept normal form, a plain depth truncation, is
-bcd.syntax's dept_normal_form.
+bcd.syntax's dept_normal_form.  A rule is checked when it is built: an absp
+rule needs its witness and a dept rule its depth.
+
+A meet is idempotent, so a meet spine is a set of members, and one walk
+reads it for every caller: meet_members lists the distinct non-meet members
+in order of first occurrence and enters each distinct meet once.
 
 The conversion search holds each top-level state, and each one-move
 successor of a subterm, as the set of its meet members (distinct
@@ -98,6 +103,10 @@ class Rule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        if self.kind == "absp" and self.absp_witness is None:
+            raise MissingParameter("absp needs a witness expression")
+        if self.kind == "dept" and self.depth_param is None:
+            raise MissingParameter("dept needs a depth parameter")
 
 
 ASSO = Rule("asso")
@@ -119,16 +128,20 @@ def dept(depth) -> Rule:
 # Meet spines
 
 def meet_members(e: Expr) -> list:
-    """Flatten a meet spine into its non-meet members, left to right."""
+    """The distinct non-meet members of a meet spine, in order of first
+    occurrence, left to right.  A meet is idempotent, so a repeated member is
+    listed once; each distinct meet of the spine is entered once, so a shared
+    meet costs one visit however often it occurs."""
     out = []
-    stack = [e]
+    seen, stack = set(), [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Meet):
-            stack.append(x.right)
-            stack.append(x.left)
-        else:
-            out.append(x)
+        if x not in seen:
+            seen.add(x)
+            if x.__class__ is Meet:
+                stack += (x.right, x.left)
+            else:
+                out.append(x)
     return out
 
 
@@ -163,13 +176,6 @@ def _is_meet_of_atoms(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # Redex enumeration and rule application
 
-def _check_params(rule: Rule) -> None:
-    if rule.kind == "absp" and rule.absp_witness is None:
-        raise MissingParameter("absp needs a witness expression")
-    if rule.kind == "dept" and rule.depth_param is None:
-        raise MissingParameter("dept needs a depth parameter")
-
-
 _AT_ARROW = Arrow(_AT, _AT)
 
 
@@ -198,7 +204,6 @@ def _is_redex(rule: Rule, x: Expr, here: int, restricted: bool) -> bool:
 
 def redexes(e: Expr, rule: Rule, restricted: bool = False) -> list:
     """All positions where the rule's left hand side matches, in preorder."""
-    _check_params(rule)
     return [pos for pos, x, here in _preorder(e) if _is_redex(rule, x, here, restricted)]
 
 
@@ -223,7 +228,6 @@ def _rewrite_once(rule: Rule, sub: Expr) -> Expr:
 
 def apply(e: Expr, rule: Rule, pos: Position) -> Expr:
     """Rewrite the single occurrence at pos; raises NotARedex on a mismatch."""
-    _check_params(rule)
     nodes = _path(e, pos)
     sub = nodes[-1]
     if not _is_redex(rule, sub, sum(x.__class__ is Arrow for x in nodes), False):
@@ -279,7 +283,6 @@ def count_restricted(e: Expr, rule: Rule, memo: dict) -> int:
     """len(redexes(e, rule, restricted=True)), for any rule but dept at an
     infinite depth, from the per-subterm counts in memo (pass {} to start
     one), which it fills for every subterm not yet counted."""
-    _check_params(rule)
     cap = rule.depth_param + 1 if rule.kind == "dept" else 0
     for above in range(cap + 1):
         memo.setdefault(above, {})
@@ -424,8 +427,8 @@ def slat_canonical(e: Expr) -> Expr:
     Meet spines are flattened to sets, deduplicated, sorted by rendered
     string, and left-nested; applied recursively inside arrow sources and
     targets.  Idempotent, and invariant under asso/asso_inv/comm/idem steps.
-    A spine is read through its distinct meets, so a shared meet is walked
-    once however often it occurs.
+    A spine is read through meet_members, so a shared meet is walked once
+    however often it occurs.
     """
     c = e.__dict__.get("_slat")
     if c is not None:
@@ -435,14 +438,7 @@ def slat_canonical(e: Expr) -> Expr:
     elif isinstance(e, Arrow):
         c = Arrow(slat_canonical(e.source), slat_canonical(e.target))
     else:
-        seen, stack = set(), [e]
-        while stack:
-            x = stack.pop()
-            if x not in seen:
-                seen.add(x)
-                if x.__class__ is Meet:
-                    stack += (x.left, x.right)
-        c = meet_of(_sorted_members(slat_canonical(m) for m in seen if m.__class__ is not Meet))
+        c = meet_of(_sorted_members(slat_canonical(m) for m in meet_members(e)))
     object.__setattr__(c, "_slat", True)
     if c is not e:
         object.__setattr__(e, "_slat", c)

@@ -544,8 +544,8 @@ class TestValueErrorExit:
         def verb(args):
             raise exc
 
-        monkeypatch.setitem(cli._DISPATCH, "le", verb)
-        assert run(["le", "a", "b"]) == 2
+        monkeypatch.setattr(cli, "_cmd_parse", verb)
+        assert run(["parse", "a"]) == 2
         assert capsys.readouterr().err == f"error: {exc}\n"
 
 
@@ -557,8 +557,8 @@ class TestMemoryErrorExit:
         def verb(args):
             raise MemoryError
 
-        monkeypatch.setitem(cli._DISPATCH, "le", verb)
-        assert run(["le", "a", "b"]) == 3
+        monkeypatch.setattr(cli, "_cmd_parse", verb)
+        assert run(["parse", "a"]) == 3
         captured = capsys.readouterr()
         assert captured.err == "limit exceeded: out of memory\n"
         assert "Traceback" not in captured.err

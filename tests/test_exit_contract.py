@@ -16,6 +16,7 @@ A refusal (exit 3) writes nothing to stdout.  A row whose refusal becomes an
 answer changes its expected exit code here.
 """
 
+import argparse
 import os
 import random
 import resource
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from bcd.cli import _DISPATCH
+from bcd.cli import _build_parser
 from bcd.gen import random_expr
 from bcd.syntax import Meet, render
 
@@ -138,7 +139,8 @@ def test_shapes_fit_one_argument():
 
 
 def test_every_verb_has_a_row():
-    assert set(_DISPATCH) <= {row[1][0] for row in ROWS}
+    (verbs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(verbs.choices) <= {row[1][0] for row in ROWS}
 
 
 @pytest.mark.parametrize(

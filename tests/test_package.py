@@ -261,3 +261,28 @@ class TestEveryPublicNameHasAReader:
             if not reads.get(name, set()) - {(module, name)}
         )
         assert unread == sorted(UNREAD_BY_DESIGN)
+
+
+# The private names that one src/bcd module imports from another, by
+# (importer, home).  A new private read across modules is a decision about
+# where a name lives, so it takes an edit here.
+PRIVATE_IMPORTS = {
+    ("cli", "decide"): ["_check_bytes"],
+    ("gen", "rewrite"): ["_is_redex"],
+    ("gen", "syntax"): ["_preorder"],
+    ("model", "decide"): ["_check_bytes"],
+    ("model", "syntax"): ["_ATOM_NAME"],
+    ("rewrite", "syntax"): ["_AT", "_path", "_preorder", "_rebuild"],
+}
+
+
+class TestPrivateImportsAcrossModules:
+    def test_the_private_names_each_module_imports_are_pinned(self):
+        found = {}
+        for path in sorted(Path(SRC, "bcd").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for alias in node.names:
+                        if alias.name.startswith("_"):
+                            found.setdefault((path.stem, node.module), []).append(alias.name)
+        assert {key: sorted(names) for key, names in found.items()} == PRIVATE_IMPORTS

@@ -38,6 +38,7 @@ from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
     INFINITE_DEPTH,
+    MEET_RIGHT,
     Arrow,
     Atom,
     Expr,
@@ -350,8 +351,7 @@ class TestSlatCanonical:
     def test_members_sorted_and_distinct(self, e):
         for _, sub in subexpressions(slat_canonical(e)):
             if isinstance(sub, Meet):
-                members = meet_members(sub)
-                rendered = [render(m) for m in members]
+                rendered = [render(m) for m in _occurrences(sub)]
                 assert rendered == sorted(rendered)
                 assert len(set(rendered)) == len(rendered)
 
@@ -1131,6 +1131,25 @@ class TestPrunedMemberKey:
         assert 0 < calls[0] <= 3_000, calls[0]
 
 
+def _occurrences(e: Expr) -> list:
+    """Every non-meet occurrence on e's meet spine, left to right, repeats
+    included: a walk over every occurrence, independent of meet_members,
+    which enters each distinct meet once."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Meet):
+            stack += (x.right, x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _occurrence_members(e: Expr) -> list:
+    """meet_members by the occurrence walk, deduplicated after."""
+    return list(dict.fromkeys(_occurrences(e)))
+
+
 def _reference_slat(e: Expr) -> Expr:
     """slat_canonical without its node cache: each meet spine flattened,
     deduplicated, sorted by rendering and left-nested, inside arrows too."""
@@ -1138,7 +1157,7 @@ def _reference_slat(e: Expr) -> Expr:
         return e
     if isinstance(e, Arrow):
         return Arrow(_reference_slat(e.source), _reference_slat(e.target))
-    return meet_of(sorted({_reference_slat(m) for m in meet_members(e)}, key=render))
+    return meet_of(sorted({_reference_slat(m) for m in _occurrence_members(e)}, key=render))
 
 
 def _shared_nest(levels: int) -> Expr:
@@ -1163,6 +1182,24 @@ class TestSlatSharedMeets:
         with alarm(10, "slat_canonical walks a shared meet once per copy"):
             c = slat_canonical(e)
         assert c is _reference_slat(parse("p -> (@ & (p -> @))"))
+
+
+class TestMeetMembers:
+    """meet_members lists a spine's distinct members, in order of first
+    occurrence, and enters each distinct meet once."""
+
+    def test_a_repeated_member_is_listed_once(self):
+        assert meet_members(parse("a & (b & a)")) == [Atom("a"), Atom("b")]
+
+    @pytest.mark.parametrize("text", ["a", "a -> b", "(b & a) & (c & (a & b))", "a & (a -> a & b)"])
+    def test_matches_the_occurrence_walk(self, text):
+        e = parse(text)
+        assert meet_members(e) == _occurrence_members(e)
+
+    def test_shared_nest_lists_its_distinct_members(self):
+        with alarm(1, "meet_members walks a shared meet once per copy"):
+            members = meet_members(_shared_nest(200))
+        assert members == [parse("p -> (@ & (p -> @))")]
 
 
 class TestNodeCaches:
@@ -1244,7 +1281,7 @@ class TestNodeCaches:
                 assert "_members" not in cached, render(node)
                 continue
             if "_members" in cached:
-                assert cached["_members"] == tuple(meet_members(node)), render(node)
+                assert cached["_members"] == tuple(_occurrence_members(node)), render(node)
                 spines += 1
         assert not unasked, unasked[:5]
         return marked, spines
@@ -1315,6 +1352,19 @@ class TestCountedRedexes:
             for k in (-1, len(positions)):
                 with pytest.raises(IndexError):
                     rewrite.apply_nth_restricted(e, rule, k, memo)
+
+    def test_shared_nest_counts_each_distinct_subterm_once(self):
+        # the restricted dept redexes of b -> nest are b and the two p of each
+        # of the nest's 2^40 copies of p -> (@ & (p -> @)); the last of them
+        # is the source of the last copy's inner arrow
+        e = Arrow(Atom("b"), _shared_nest(40))
+        last = (ARROW_TARGET,) + (MEET_RIGHT,) * 40 + (ARROW_TARGET, MEET_RIGHT, ARROW_SOURCE)
+        memo = {}
+        with alarm(1, "a restricted dept count walks a shared meet once per copy"):
+            n = rewrite.count_restricted(e, dept(0), memo)
+            result = rewrite.apply_nth_restricted(e, dept(0), n - 1, memo)
+        assert n == 1 + 2 * 2**40
+        assert result is apply(e, dept(0), last)
 
     def test_criterion_06_runs_match_the_listing_walk(self):
         # sha256 over "steps render(final)" lines of all 10,000 runs, as the
