@@ -15,12 +15,12 @@ _EXPORTS = {
                    "TRUNCATION_ATOM Arrow Atom Expr InvalidPosition Meet ParseError "
                    "arrow_depth atoms_of dept_normal_form node_count parse render "
                    "subexpressions"),
-        ("decide", "DecisionCache Factor LimitExceeded SubtypeMatrix equiv explain factors "
-                   "satisfies_eq subseteq subtype_matrix"),
+        ("decide", "DecisionCache Factor LimitExceeded SubtypeMatrix dist_normal_form equiv "
+                   "explain factors satisfies_eq subseteq subtype_matrix"),
         ("model", "Model UnknownAtom build_model stack_of_twos"),
         ("rewrite", "ASSO ASSO_INV COMM DIST IDEM MissingParameter NotARedex Rule Trace "
-                    "TraceStep Verdict absp apply convertible_bounded dept "
-                    "dist_normal_form meet_members meet_of redexes slat_canonical"),
+                    "TraceStep Verdict absp apply convertible_bounded dept meet_members "
+                    "meet_of redexes slat_canonical"),
     )
     for name in names.split()
 }

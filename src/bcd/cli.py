@@ -4,20 +4,20 @@ Exit codes: 0 success or decided true, 1 decided false, 2 usage or parse
 error, 3 resource limit exceeded (including input nested too deeply for the
 recursion limit, and a MemoryError, reported as "limit exceeded: out of
 memory").  Parsing, ascii rendering, depth truncation, arrow depth,
-factoring and single rewrite steps never recurse, so `parse`, `factors` and
-`nf --kind dept` answer at any depth.  Deciding recurses only through arrow
-sources (a factor's arguments), so `le` and `eq` answer on a right-nested
-chain of any length but not on a deep left-nested one; explanations, the
-other normal forms and json.dumps recurse too.  Each raises the
-RecursionError that deep input turns into exit 3.  --json switches output to
-a single JSON object on stdout; diagnostics go to stderr.  Exit 141 (128 +
-SIGPIPE) means that the reader of stdout left before the output ended.
+factoring, the dist normal form and single rewrite steps never recurse, so
+`parse`, `factors` and `nf --kind dept|dist` answer at any depth.  Deciding
+recurses only through arrow sources (a factor's arguments), so `le` and `eq`
+answer on a right-nested chain of any length but not on a deep left-nested
+one; explanations, the slat normal form and json.dumps recurse too.  Each
+raises the RecursionError that deep input turns into exit 3.  `nf` measures
+its text first, and refuses one past the byte cap.  --json switches output
+to a single JSON object on stdout; diagnostics go to stderr.  Exit 141
+(128 + SIGPIPE) means that the reader of stdout left before the output ended.
 
 Only syntax and decide are imported here, which is all that `parse`,
-`factors`, `le`, `eq`, `sat` and `nf --kind dept` run; `nf --kind dist` and
-`--kind slat`, `model`, `bench` and `selftest` import their own modules when
-called, and json is imported only to write JSON, so a call compiles no code
-it skips.
+`factors`, `le`, `eq`, `sat` and `nf --kind dept|dist` run; `nf --kind
+slat`, `model`, `bench` and `selftest` import their own modules when called,
+and json is imported only to write JSON, so a call compiles no code it skips.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from .decide import (
     DecisionCache,
     LimitExceeded,
     _check_bytes,
+    dist_normal_form,
     factor_groups,
     satisfies_eq,
     sorted_groups,
     subtype_matrix,
 )
-from .syntax import ParseError, dept_normal_form, parse, render, to_json_obj
+from .syntax import ParseError, dept_normal_form, parse, render, rendered_length, to_json_obj
 
 
 def _emit(obj: dict) -> None:
@@ -57,8 +58,6 @@ def _cmd_parse(args) -> int:
 def _cmd_nf(args) -> int:
     e = parse(args.expr)
     if args.kind == "dist":
-        from .rewrite import dist_normal_form
-
         result = dist_normal_form(e)
     elif args.kind == "slat":
         from .rewrite import slat_canonical
@@ -69,6 +68,8 @@ def _cmd_nf(args) -> int:
             print("nf --kind dept requires --depth", file=sys.stderr)
             return 2
         result = dept_normal_form(e, args.depth)
+    # a normal form can be a DAG whose text is exponential in its size
+    _check_bytes(rendered_length(result, args.json), f"the {args.kind} normal form's text needs")
     if args.json:
         _emit({"kind": args.kind, "result": to_json_obj(result)})
     else:

@@ -6,8 +6,8 @@ targeting a meet is an intersection of such unrollings with atomic heads;
 the factor walk extracts them from any expression directly, distributing
 arrow sources over meet targets as it goes.  factor_groups is the package's
 only factor walk, and it does not recurse: the decision cache, the subtype
-matrix, explanations and `factors` all read the (head, arity) groups it
-returns.
+matrix, explanations, `factors` and the dist normal form (the meet of the
+factors) all read the (head, arity) groups it returns.
 
 a is below b exactly when every factor of b finds a factor of a with the same
 head atom and the same arity whose arguments dominate pointwise in the
@@ -37,6 +37,7 @@ threads, and behaves as if each query were evaluated in isolation.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .syntax import INFINITE_DEPTH, Arrow, Atom, Expr, Meet, dept_normal_form, render
@@ -132,6 +133,28 @@ def factors(e: Expr) -> frozenset:
     return frozenset(
         Factor(args, head) for (head, _), argss in factor_groups(e).items() for args in argss
     )
+
+
+def dist_normal_form(e: Expr) -> Expr:
+    """Exhaust dist: the meet of e's distinct factors in factor_groups order,
+    each argument in dist form, by one loop over the distinct arguments."""
+    done, pending, stack = {}, {}, [e]  # node -> dist form; node -> its groups
+    while stack:
+        x = stack.pop()
+        if x in pending:  # its arguments, pushed above it, are done
+            members = {}  # interned, so a factor met twice is one key
+            for (head, _), argss in pending.pop(x).items():
+                for args in argss:
+                    f = Atom(head)
+                    for a in reversed(args):
+                        f = Arrow(done[a], f)
+                    members[f] = None
+            done[x] = reduce(Meet, members)
+        elif x not in done:
+            pending[x] = g = factor_groups(x)
+            stack.append(x)
+            stack += {a for argss in g.values() for args in argss for a in args if a not in done}
+    return done[e]
 
 
 def factor_text(args: tuple, head: str) -> str:

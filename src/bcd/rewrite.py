@@ -17,9 +17,9 @@ the listing (a filter over bcd.syntax's preorder walk and its arrow
 counts), for a single step and for the counted walk alike.  absp is
 generative (its C is arbitrary), so it never takes part in normalization; it
 appears only in the bounded conversion search, with witnesses drawn from a
-finite pool.  The dept normal form, a plain depth truncation, is
-bcd.syntax's dept_normal_form.  A rule is checked when it is built: an absp
-rule needs its witness and a dept rule its depth.
+finite pool.  The dept and dist normal forms are bcd.syntax's and
+bcd.decide's.  A rule is checked when it is built: an absp rule needs its
+witness and a dept rule its depth.
 
 A meet is idempotent, so a meet spine is a set of members, and one walk
 reads it for every caller: meet_members lists the distinct non-meet members
@@ -375,27 +375,6 @@ class Trace:
 
 # ---------------------------------------------------------------------------
 # Normal forms
-
-def dist_normal_form(e: Expr) -> Expr:
-    """Exhaust dist: the result has no arrow targeting a meet.
-
-    Deterministic innermost strategy; any strategy terminates and yields the
-    same normal form up to meet reassociation.
-    """
-    if isinstance(e, Atom):
-        return e
-    if isinstance(e, Meet):
-        return Meet(dist_normal_form(e.left), dist_normal_form(e.right))
-    src = dist_normal_form(e.source)
-    tgt = dist_normal_form(e.target)
-    return _arrow_dist(src, tgt)
-
-
-def _arrow_dist(src: Expr, tgt: Expr) -> Expr:
-    if isinstance(tgt, Meet):
-        return Meet(_arrow_dist(src, tgt.left), _arrow_dist(src, tgt.right))
-    return Arrow(src, tgt)
-
 
 def _sorted_members(members) -> tuple:
     """The distinct members sorted by rendering: for slat-canonical non-meets,

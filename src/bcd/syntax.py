@@ -32,8 +32,9 @@ nodes' repr, atoms_of and the depth truncation dept_normal_form each run one
 loop over an explicit stack too; one preorder walk, _preorder, gives each
 position with its node and the arrows on its path, entering arrow sources
 or not, to subexpressions, bcd.rewrite's redexes and bcd.gen's
-random_strictly_positive_step; pickling, node_count and arrow_depth are one
-fold, _fold, linear in distinct subterms; and bcd.rewrite's step walks its
+random_strictly_positive_step; pickling, node_count, arrow_depth and
+rendered_length (the length of a text before it is built) are one fold,
+_fold, linear in distinct subterms; and bcd.rewrite's step walks its
 position by one validated descent, _path, and rebuilds that path by one
 loop, _rebuild, so no nesting depth reaches the recursion limit.
 The truncation lives here, with the module's own @ atom, so that `bcd sat`
@@ -427,6 +428,26 @@ def render(e: Expr) -> str:
         text = _text(e)
         object.__setattr__(e, "_text", text)
     return text
+
+
+def rendered_length(e: Expr, as_json: bool = False) -> int:
+    """len(render(e)), or with as_json the length of json.dumps of
+    to_json_obj(e) for atom names that parse reads, by one fold over
+    distinct subterms, so that a caller can bound a text before it exists."""
+
+    def text(x, i, j):
+        if i is None:
+            return len(x.name)
+        if x.__class__ is Arrow:
+            return i + j + 4 + 2 * (x.source.__class__ is Arrow)
+        return i + j + 3 + 2 * (x.left.__class__ is Arrow) + 2 * (x.right.__class__ is not Atom)
+
+    def json_text(x, i, j):  # {"atom": "n"}, {"arrow": [s, t]}, {"meet": [l, r]}
+        if i is None:
+            return len(x.name) + 12
+        return i + j + (15 if x.__class__ is Arrow else 14)
+
+    return _fold(e, json_text if as_json else text)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 
 from bcd import rewrite, selftest
 from bcd.cli import run
-from bcd.decide import MATRIX_CAP_BYTES
+from bcd.decide import MATRIX_CAP_BYTES, dist_normal_form
 from bcd.selftest import DESK_SCALE, FULL_SCALE
+from bcd.syntax import parse, rendered_length
 
 from conftest import alarm
 
@@ -115,6 +116,30 @@ class TestNf:
     def test_slat(self, capsys):
         assert run(["nf", "--kind", "slat", "(b & a) & b"]) == 0
         assert capsys.readouterr().out.strip() == "a & b"
+
+    @pytest.mark.parametrize("kind", ["dist", "slat"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_writes_the_measured_length(self, capsys, kind, flags):
+        text = "((a -> b & c) -> d) & (e -> (f -> g) & h)"
+        assert run(["nf", "--kind", kind, *flags, text]) == 0
+        out = capsys.readouterr().out
+        form = json.loads(out)["result"] if flags else out[:-1]
+        length = len(json.dumps(form)) if flags else len(form)
+        normal = dist_normal_form if kind == "dist" else rewrite.slat_canonical
+        assert rendered_length(normal(parse(text)), as_json=bool(flags)) == length
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_refuses_a_text_past_the_cap_before_writing_it(self, capsys, flags):
+        # s_12 = s_11 -> (p & q & r & t): its dist form is a DAG of 89
+        # distinct subterms whose text has 223,696,201 bytes
+        s = "a"
+        for _ in range(12):
+            s = f"({s}) -> (p & q & r & t)"
+        with alarm(5, "nf wrote its text before it measured it"):
+            assert run(["nf", "--kind", "dist", *flags, s]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limit exceeded: the dist normal form's text needs")
 
 
 class TestFactorsVerb:
@@ -595,8 +620,8 @@ def _loaded_by(argv):
 
 
 class TestModulesOnTheLePath:
-    """`sat` and `nf --kind dept` run on the modules `le` loads, and json is
-    loaded only to write JSON."""
+    """`sat`, `nf --kind dept` and `nf --kind dist` run on the modules `le`
+    loads, and json is loaded only to write JSON."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -604,9 +629,10 @@ class TestModulesOnTheLePath:
             ["sat", "--depth", "1", "a -> b -> c", "a -> b -> d"],
             ["sat", "--depth", "0", "a", "a"],
             ["nf", "--kind", "dept", "--depth", "1", "a -> b -> c"],
+            ["nf", "--kind", "dist", "a -> b & c"],
             ["le", "a", "a"],
         ],
-        ids=["sat-1", "sat-0", "nf-dept", "le"],
+        ids=["sat-1", "sat-0", "nf-dept", "nf-dist", "le"],
     )
     def test_loads_the_le_modules_and_no_json(self, argv):
         assert _loaded_by(argv) == LE_PATH
@@ -616,7 +642,7 @@ class TestModulesOnTheLePath:
         assert [m for m in loaded if m.startswith("bcd")] == LE_PATH
         assert "json" in loaded
 
-    @pytest.mark.parametrize("kind", ["dist", "slat"])
+    @pytest.mark.parametrize("kind", ["slat"])
     def test_other_normal_forms_load_rewrite(self, kind):
         loaded = _loaded_by(["nf", "--kind", kind, "a -> b & c"])
         assert "bcd.rewrite" in loaded

@@ -7,7 +7,9 @@ argument allows (131,071 bytes): a left-nested chain, a right-nested chain,
 an arrow into a 20,000-member meet, a meet of 15,798 atoms nested to the
 left and to the right, a meet of 8,812 arrows, and one atom of 131,000
 letters, alone and followed by a character no token starts, plus the
-explanation family s_k at k = 6.  `model` rows build the largest carrier
+explanation family s_k at k = 6 and k = 12, and a 10,000-node random tree,
+whose dist normal forms' texts (224 MB and 150 MB) `nf` refuses before
+writing any of them.  `model` rows build the largest carrier
 that fits and ask past each of its caps, `bench --stdin` rows read from
 stdin the chains and a meet of 100 copies of one 2,001-node random tree
 (555,197 characters, 729 distinct subterms), and `selftest` runs the
@@ -62,6 +64,8 @@ LEFT_OTHER = _left_chain(26_214, "c")
 RIGHT = "a" + "->a" * 43_689
 WIDE = "a->(" + "&".join(f"x{i}" for i in range(20_000)) + ")"
 S6 = _explain_family(6)
+S12 = _explain_family(12)
+RANDOM_10K = render(random_expr(random.Random(9), 10_000))
 SPINE_ATOMS = [f"x{i}" for i in range(15_798)]
 LEFT_MEET = " & ".join(SPINE_ATOMS)
 LEFT_MEET_REVERSED = " & ".join(reversed(SPINE_ATOMS))
@@ -95,7 +99,7 @@ ROWS = [
     ("le-explain-left", ["le", "--explain", LEFT, LEFT_OTHER], 3),
     ("sat-huge-depth-left", ["sat", "--depth", "1000000000", LEFT, LEFT_OTHER], 3),
     ("parse-json-left", ["parse", "--json", LEFT], 3),
-    ("nf-dist-left", ["nf", "--kind", "dist", LEFT], 3),
+    ("nf-dist-left", ["nf", "--kind", "dist", LEFT], 0),
     ("nf-slat-left", ["nf", "--kind", "slat", LEFT], 3),
     ("parse-left", ["parse", LEFT], 0),
     ("factors-left", ["factors", LEFT], 0),
@@ -103,8 +107,10 @@ ROWS = [
     ("sat-depth-5-left", ["sat", "--depth", "5", LEFT, LEFT], 0),
     ("le-right", ["le", RIGHT, RIGHT], 0),
     ("eq-right-atom", ["eq", RIGHT, "a"], 1),
-    ("nf-dist-wide", ["nf", "--kind", "dist", WIDE], 3),
+    ("nf-dist-wide", ["nf", "--kind", "dist", WIDE], 0),
     ("eq-explain-s6", ["eq", "--explain", S6, S6], 0),
+    ("nf-dist-s12", ["nf", "--kind", "dist", S12], 3),
+    ("nf-dist-random-10k", ["nf", "--kind", "dist", RANDOM_10K], 3),
     *_meet_rows("meet-left", LEFT_MEET, LEFT_MEET_REVERSED),
     *_meet_rows("meet-right", RIGHT_MEET, RIGHT_MEET_REVERSED),
     ("le-arrow-meet", ["le", ARROW_MEET, ARROW_MEET_REVERSED], 0),
@@ -134,7 +140,7 @@ def _limit_address_space():
 
 def test_shapes_fit_one_argument():
     shapes = (LEFT, LEFT_OTHER, RIGHT, WIDE, LEFT_MEET, LEFT_MEET_REVERSED, RIGHT_MEET,
-              RIGHT_MEET_REVERSED, ARROW_MEET, ARROW_MEET_REVERSED, LONG_ATOM + "$")
+              RIGHT_MEET_REVERSED, ARROW_MEET, ARROW_MEET_REVERSED, LONG_ATOM + "$", RANDOM_10K)
     assert max(len(text) for text in shapes) <= 131_071
 
 

@@ -5,9 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from bcd.decide import DecisionCache, Factor, factors
+from bcd.decide import DecisionCache, Factor, dist_normal_form, factors
 from bcd.gen import random_strictly_positive_step
-from bcd.rewrite import dist_normal_form, slat_canonical
+from bcd.rewrite import slat_canonical
 from bcd.syntax import (
     ARROW_TARGET,
     Arrow,
@@ -99,6 +99,8 @@ class TestFactors:
                     cur = cur.left if step == "left" else cur.right
             occurrence_factors.setdefault(Factor(tuple(args), cur.name), []).append(pos)
         assert set(occurrence_factors) == factors(nf)
+        # the dist normal form lists each factor once
+        assert all(len(positions) == 1 for positions in occurrence_factors.values())
 
 
 class TestFactorToExpr:

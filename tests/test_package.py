@@ -111,6 +111,7 @@ class TestModuleHomes:
         assert bcd._EXPORTS["INFINITE_DEPTH"] == "syntax"
         assert bcd._EXPORTS["dept_normal_form"] == "syntax"
         assert bcd._EXPORTS["satisfies_eq"] == "decide"
+        assert bcd._EXPORTS["dist_normal_form"] == "decide"
         assert sorted(bcd._EXPORTS) == PUBLIC_NAMES
 
     def test_readme_module_table_lists_every_module(self):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcd.decide import DecisionCache, factor_groups
+from bcd.decide import DecisionCache, dist_normal_form, equiv, factor_groups
 from bcd.rewrite import (
     ASSO,
     ASSO_INV,
@@ -25,7 +25,6 @@ from bcd.rewrite import (
     apply,
     convertible_bounded,
     dept,
-    dist_normal_form,
     meet_members,
     meet_of,
     prune,
@@ -206,6 +205,23 @@ class TestComb:
         assert () in redexes(e, COMM, restricted=True)
 
 
+def _reference_dist(e: Expr) -> Expr:
+    """The recursive dist normal form that bcd.decide's factor loop replaced:
+    innermost dist at every arrow, with every meet kept where it was, so a
+    repeated factor is listed as often as it occurs."""
+    if isinstance(e, Atom):
+        return e
+    if isinstance(e, Meet):
+        return Meet(_reference_dist(e.left), _reference_dist(e.right))
+    return _reference_arrow_dist(_reference_dist(e.source), _reference_dist(e.target))
+
+
+def _reference_arrow_dist(src: Expr, tgt: Expr) -> Expr:
+    if isinstance(tgt, Meet):
+        return Meet(_reference_arrow_dist(src, tgt.left), _reference_arrow_dist(src, tgt.right))
+    return Arrow(src, tgt)
+
+
 class TestDistNormalForm:
     def test_simple(self):
         assert dist_normal_form(parse("a -> (b & c)")) == parse("(a -> b) & (a -> c)")
@@ -218,6 +234,20 @@ class TestDistNormalForm:
         want = parse("(a -> b) & ((a -> c) & (a -> d))")
         assert slat_canonical(got) == slat_canonical(want)
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("(x -> a) & b & (y -> a)", "(x -> a) & (y -> a) & b"),
+            ("a & a", "a"),
+            ("(c -> a & b) & (c -> a)", "(c -> a) & (c -> b)"),
+            ("((a -> b & c) -> d) & e", "((a -> b) & (a -> c) -> d) & e"),
+        ],
+    )
+    def test_each_factor_once_in_factor_groups_order(self, text, want):
+        # the meet of the factors, grouped by (head, arity) in walk order,
+        # each with its arguments in dist form, and each listed once
+        assert render(dist_normal_form(parse(text))) == want
+
     @given(expr_strategy())
     def test_no_arrow_targets_meet(self, e):
         nf = dist_normal_form(e)
@@ -225,6 +255,13 @@ class TestDistNormalForm:
             isinstance(sub, Arrow) and isinstance(sub.target, Meet)
             for _, sub in subexpressions(nf)
         )
+
+    @given(expr_strategy())
+    def test_equivalent_to_its_input_and_to_the_reference(self, e):
+        nf = dist_normal_form(e)
+        assert equiv(nf, e)
+        assert equiv(nf, _reference_dist(e))
+        assert slat_canonical(nf) is slat_canonical(_reference_dist(e))
 
     @given(expr_strategy(max_leaves=12))
     @settings(max_examples=30)
@@ -268,6 +305,45 @@ class TestDistNormalForm:
                 cur = apply(cur, DIST, rng.choice(positions))
             results.append(slat_canonical(cur))
         assert results[0] == results[1]
+
+
+class TestDistWithoutRecursion:
+    """dist_normal_form is one loop over the distinct factor arguments, so it
+    answers at recursion limit 1,000 on a 10^5-level left chain and on an
+    arrow into a 10^5-member meet, and it forms each distinct argument once
+    on a tower of shared meets, where the recursion took 2^k steps."""
+
+    N = 100_000
+
+    @staticmethod
+    def _at_limit_1000(e: Expr) -> Expr:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            return dist_normal_form(e)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_left_chain(self):
+        e = A
+        for _ in range(self.N):
+            e = Arrow(e, A)
+        assert self._at_limit_1000(e) is e
+
+    def test_arrow_into_a_wide_meet(self):
+        xs = [Atom(f"x{i}") for i in range(self.N)]
+        meet, want = xs[0], Arrow(A, xs[0])
+        for x in xs[1:]:
+            meet, want = Meet(meet, x), Meet(want, Arrow(A, x))
+        assert self._at_limit_1000(Arrow(A, meet)) is want
+
+    def test_shared_tower(self):
+        s, tower, chain = Atom("s"), A, A
+        for _ in range(40):  # x_{k+1} = s -> (x_k & x_k)
+            tower, chain = Arrow(s, Meet(tower, tower)), Arrow(s, chain)
+        with alarm(1, "dist_normal_form walks a shared meet once per copy"):
+            nf = dist_normal_form(tower)
+        assert nf is chain and node_count(nf) == 81
 
 
 class TestDeptNormalForm:

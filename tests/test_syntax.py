@@ -16,17 +16,18 @@ import pytest
 from hypothesis import given
 
 from bcd import syntax
-from bcd.decide import DecisionCache, equiv, explain, factor_groups, satisfies_eq, sorted_groups
+from bcd.decide import (
+    DecisionCache,
+    dist_normal_form,
+    equiv,
+    explain,
+    factor_groups,
+    satisfies_eq,
+    sorted_groups,
+)
 from bcd.gen import random_expr
 from bcd.model import build_model
-from bcd.rewrite import (
-    Verdict,
-    convertible_bounded,
-    dist_normal_form,
-    prune,
-    slat_canonical,
-    witness_pool,
-)
+from bcd.rewrite import Verdict, convertible_bounded, prune, slat_canonical, witness_pool
 from bcd.syntax import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -42,6 +43,7 @@ from bcd.syntax import (
     node_count,
     parse,
     render,
+    rendered_length,
     subexpressions,
     to_json_obj,
 )
@@ -367,6 +369,23 @@ class TestRender:
     @given(expr_strategy())
     def test_json_round_trip(self, e):
         assert _reference_from_json_obj(json.loads(json.dumps(to_json_obj(e)))) == e
+
+
+class TestRenderedLength:
+    """rendered_length is the length of each text before it is written, by
+    one step per distinct subterm."""
+
+    @given(big_expr_strategy(("a", "bc", "d_9X", "@")))
+    def test_each_fold_is_the_length_of_its_text(self, e):
+        assert rendered_length(e) == len(render(e))
+        assert rendered_length(e, as_json=True) == len(json.dumps(to_json_obj(e)))
+
+    def test_shared_subterms_are_measured_once(self):
+        e, length = parse("(a -> b) & (a -> b)"), len("(a -> b) & (a -> b)")
+        for _ in range(63):  # the left copy bare, the right in parentheses
+            e, length = Meet(e, e), 2 * length + len(" & ()")
+        with alarm(10, "rendered_length walks a shared subterm once per copy"):
+            assert rendered_length(e) == length
 
 
 class TestSubexpressions:
@@ -1051,6 +1070,16 @@ _GUARDED = {
         _EVERY_STEP,
         lambda e, pos: to_json_obj(e),
         lambda r, e, pos: _json_at(r, pos) == {"atom": "a"},
+    ),
+    "rendered_length": (
+        _DEEP,
+        _EVERY_STEP,
+        lambda e, pos: (rendered_length(e), rendered_length(e, as_json=True)),
+        # json.dumps recurses, so the JSON length is counted by hand: half
+        # the levels are arrows ({"arrow": [s, t]}, 15 more characters than
+        # s and t), half are meets (14), and each of the _DEEP + 1 atoms
+        # is {"atom": "a"} or {"atom": "b"} (13)
+        lambda r, e, pos: r == (len(render(e)), _DEEP // 2 * (15 + 14) + 13 * (_DEEP + 1)),
     ),
 }
 
